@@ -8,7 +8,7 @@ Subcommands:
 * ``index-file <path>``  index of an external structure-constant document
 
 Exit status: 0 when the run completed (whatever the verdicts), 2 when any
-verdict came back undecided, 1 on errors.
+verdict, or the index of a document, came back undecided, 1 on errors.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .centralizer import build_centralizer
 from .exact_linalg import DEFAULT_TERM_LIMIT, DEFAULT_TRIALS
 from .gib_checker import GibReport, check_rep
 from .index_engine import (
+    UNDECIDED,
     GenericActionError,
     index_of_matrix,
     parse_action_document,
@@ -369,13 +370,10 @@ def _cmd_index_file(args) -> int:
     except GenericActionError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
-    force = args.certify_all
-    result = index_of_matrix(matrix, trials=args.trials, seed=args.seed,
-                             force_certify=force)
-    if declared is not None and not result.certified and result.index != declared:
-        # A mismatch must be exact before it is reported as a failure.
-        result = index_of_matrix(matrix, trials=args.trials, seed=args.seed,
-                                 force_certify=True)
+    result = index_of_matrix(matrix, target=declared, trials=args.trials,
+                             seed=args.seed, force_certify=args.certify_all)
+    undecided = result.decided_by == UNDECIDED
+    matches = None if declared is None or undecided else result.index == declared
     payload = {
         "dim_q": doc.get("dim_q"),
         "dim_v": result.dim_module,
@@ -383,8 +381,9 @@ def _cmd_index_file(args) -> int:
         "cert_rank": result.cert_rank,
         "certified": result.certified,
         "index": result.index,
+        "decided_by": result.decided_by,
         "declared_rank": declared,
-        "matches_declared": None if declared is None else result.index == declared,
+        "matches_declared": matches,
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -393,10 +392,7 @@ def _cmd_index_file(args) -> int:
               f"index={payload['index']} "
               f"({'certified' if result.certified else 'probabilistic'})")
         if declared is not None:
-            verdict = "true" if payload["matches_declared"] else "false"
-            print(f"declared rank {declared}: verdict {verdict}")
-    undecided = (declared is not None and not result.certified
-                 and result.index != declared)
+            print(f"declared rank {declared}: verdict {_verdict_text(matches)}")
     return 2 if undecided else 0
 
 

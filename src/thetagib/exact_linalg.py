@@ -246,23 +246,30 @@ def scalar_rank(matrix: Sequence[Sequence]) -> int:
 # Probabilistic rank.
 
 
+def _row_scales(M: LinearFormMatrix) -> list[int]:
+    """Per row of M, the lcm of its coefficient denominators.
+
+    Scaling a row by a nonzero constant keeps the rank over Q(a), and an
+    integer matrix reduced mod p can only lose rank, so ranks mod p of the
+    rows so scaled stay lower bounds for the generic rank of M.
+    """
+    scales = []
+    for row in M.entries:
+        scale = 1
+        for e in row:
+            for c in e.coeffs.values():
+                if scale % c.denominator:
+                    scale = scale * c.denominator // gcd(scale, c.denominator)
+        scales.append(scale)
+    return scales
+
+
 def _modular_coefficient_table(M: LinearFormMatrix, p: int):
     """Per-entry list of (index, coefficient mod p), shared across trials."""
-    cache: dict[Fraction, int] = {}
-
-    def reduce(c: Fraction) -> int:
-        v = cache.get(c)
-        if v is None:
-            den = c.denominator % p
-            if den == 0:
-                raise ValueError("denominator divisible by evaluation prime")
-            v = c.numerator % p * pow(den, p - 2, p) % p
-            cache[c] = v
-        return v
-
     return [
-        [[(k, reduce(c)) for k, c in e.coeffs.items()] for e in row]
-        for row in M.entries
+        [[(k, c.numerator * (scale // c.denominator) % p) for k, c in e.coeffs.items()]
+         for e in row]
+        for row, scale in zip(M.entries, _row_scales(M))
     ]
 
 
@@ -596,20 +603,15 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> 
 
     Applies ``ground_field_reduce`` first, then Bareiss elimination over the
     polynomial ring.  Rows are pre-scaled to integer coefficients (a rank
-    -preserving row operation), so the elimination runs over Z whenever the
-    input allows.  Raises ``ResourceLimitExceeded`` when an intermediate
-    polynomial outgrows ``max_terms``; the caller decides what "too
-    expensive" means for its verdict.
+    -preserving row operation), so the elimination runs over Z.  Raises
+    ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
+    ``max_terms``; the caller decides what "too expensive" means for its
+    verdict.
     """
     reduced = ground_field_reduce(M)
     if reduced.rows == 0 or reduced.cols == 0:
         return 0
     s = reduced.num_indeterminates
-    grid = []
-    for row in reduced.entries:
-        scale = 1
-        for e in row:
-            for c in e.coeffs.values():
-                scale = scale * c.denominator // gcd(scale, c.denominator)
-        grid.append([MultiPoly.from_linear_form(e.scaled(scale), s) for e in row])
+    grid = [[MultiPoly.from_linear_form(e.scaled(scale), s) for e in row]
+            for row, scale in zip(reduced.entries, _row_scales(reduced))]
     return _bareiss_rank(grid, s, max_terms)

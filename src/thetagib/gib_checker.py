@@ -18,6 +18,8 @@ for that index.  The per-orbit procedure:
      either way; if that blows the resource budget the orbit is UNDECIDED,
      never silently wrong.
 
+Steps 3-5 are ``index_engine.decide_index``, which ``index-file`` shares.
+
 A whole grading has the property iff every orbit does.  The driver delays
 the expensive step 5, collecting suspicious orbits from the cheap pass and
 certifying them smallest-matrix-first until all are resolved, so a FALSE
@@ -33,19 +35,19 @@ from .exact_linalg import (
     DEFAULT_TERM_LIMIT,
     DEFAULT_TRIALS,
     LinearFormMatrix,
-    ResourceLimitExceeded,
-    certified_rank,
-    ground_field_reduce,
     probabilistic_rank,
 )
-from .index_engine import IndexResult, build_action_matrix
+from .index_engine import (  # the DECIDED_BY_* names are read from here too
+    DECIDED_BY_BOUND_MATCH,
+    DECIDED_BY_CERTIFIED_RANK,
+    DECIDED_BY_REDUCED_SHAPE,
+    UNDECIDED,
+    IndexResult,
+    build_action_matrix,
+    decide_index,
+)
 from .orbits import LabeledPartition, all_nilpotent_orbits
 from .theta_gl import ThetaRep
-
-DECIDED_BY_BOUND_MATCH = "probabilistic-bound-match"
-DECIDED_BY_REDUCED_SHAPE = "reduced-shape"
-DECIDED_BY_CERTIFIED_RANK = "certified-rank"
-UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,10 @@ class OrbitVerdict:
     dim_module: int
     index_result: IndexResult
     gib: bool | None
-    decided_by: str
+
+    @property
+    def decided_by(self) -> str:
+        return self.index_result.decided_by
 
 
 @dataclass(frozen=True)
@@ -73,40 +78,17 @@ class GibReport:
 
     @property
     def undecided_orbits(self) -> tuple[LabeledPartition, ...]:
-        return tuple(v.orbit for v in self.verdicts if v.gib is None)
+        return tuple(v.orbit for v in self.verdicts if v.decided_by == UNDECIDED)
 
 
-class _OrbitJob:
-    """Mutable per-orbit state for the deferred-certification schedule."""
-
-    __slots__ = ("orbit", "matrix", "reduced", "prob", "verdict")
-
-    def __init__(self, orbit: LabeledPartition, matrix: LinearFormMatrix, prob: int):
-        self.orbit = orbit
-        self.matrix = matrix
-        self.reduced: LinearFormMatrix | None = None
-        self.prob = prob
-        self.verdict: OrbitVerdict | None = None
-
-
-def _verdict(job: _OrbitJob, dim_stab: int, *, cert: int | None,
-             gib: bool | None, decided_by: str) -> OrbitVerdict:
-    dim = job.matrix.cols
-    used = cert if cert is not None else job.prob
-    result = IndexResult(
-        dim_module=dim,
-        prob_rank=job.prob,
-        cert_rank=cert,
-        index=dim - used,
-        certified=cert is not None,
-    )
+def _verdict(orbit: LabeledPartition, dim_stab: int, result: IndexResult,
+             rank: int) -> OrbitVerdict:
     return OrbitVerdict(
-        orbit=job.orbit,
+        orbit=orbit,
         dim_stabilizer=dim_stab,
-        dim_module=dim,
+        dim_module=result.dim_module,
         index_result=result,
-        gib=gib,
-        decided_by=decided_by,
+        gib=None if result.decided_by == UNDECIDED else result.index == rank,
     )
 
 
@@ -120,49 +102,24 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
     rank = rep.rank()
     cent = build_centralizer(orbit, rep.m)
     matrix = build_action_matrix(cent)
-    dim_stab = len(cent.by_degree[0])
-    job = _OrbitJob(orbit, matrix, probabilistic_rank(matrix, trials, seed))
-    _resolve(job, rank, dim_stab, force_certify=force_certify, max_terms=max_terms)
-    assert job.verdict is not None
-    return job.verdict
+    result, _ = decide_index(matrix, probabilistic_rank(matrix, trials, seed), rank,
+                             force_certify=force_certify, max_terms=max_terms)
+    return _verdict(orbit, len(cent.by_degree[0]), result, rank)
 
 
-def _resolve(job: _OrbitJob, rank: int, dim_stab: int, *,
-             force_certify: bool, max_terms: int) -> None:
-    dim = job.matrix.cols
-    if not force_certify and dim - job.prob == rank:
-        # Upper bound dim - prob meets the lower bound rank: proven TRUE.
-        job.verdict = _verdict(job, dim_stab, cert=None, gib=True,
-                               decided_by=DECIDED_BY_BOUND_MATCH)
-        return
-    if job.reduced is None:
-        job.reduced = ground_field_reduce(job.matrix)
-    red = job.reduced
-    if not force_certify and job.prob in (red.rows, red.cols):
-        # prob is a lower bound and min(shape of the reduction) an upper
-        # bound, so the generic rank is exactly prob.
-        gib = dim - job.prob == rank
-        job.verdict = _verdict(job, dim_stab, cert=job.prob, gib=gib,
-                               decided_by=DECIDED_BY_REDUCED_SHAPE)
-        return
-    try:
-        cert = certified_rank(red, max_terms)
-    except ResourceLimitExceeded:
-        # the bound arguments stay valid even when elimination is abandoned
-        if dim - job.prob == rank:
-            job.verdict = _verdict(job, dim_stab, cert=None, gib=True,
-                                   decided_by=DECIDED_BY_BOUND_MATCH)
-        elif job.prob in (red.rows, red.cols):
-            job.verdict = _verdict(job, dim_stab, cert=job.prob,
-                                   gib=dim - job.prob == rank,
-                                   decided_by=DECIDED_BY_REDUCED_SHAPE)
-        else:
-            job.verdict = _verdict(job, dim_stab, cert=None, gib=None,
-                                   decided_by=UNDECIDED)
-        return
-    job.verdict = _verdict(job, dim_stab, cert=cert,
-                           gib=dim - cert == rank,
-                           decided_by=DECIDED_BY_CERTIFIED_RANK)
+class _OrbitJob:
+    """Per-orbit state between the cheap pass and the certification queue."""
+
+    __slots__ = ("orbit", "dim_stab", "matrix", "result", "reduced")
+
+    def __init__(self, orbit: LabeledPartition, dim_stab: int,
+                 matrix: LinearFormMatrix, result: IndexResult,
+                 reduced: LinearFormMatrix | None):
+        self.orbit = orbit
+        self.dim_stab = dim_stab
+        self.matrix = matrix
+        self.result = result
+        self.reduced = reduced
 
 
 def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -171,57 +128,38 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
               max_certifications: int | None = None) -> GibReport:
     """Verdict for a grading: the per-orbit procedure over all its orbits.
 
-    The cheap probabilistic pass runs first over every orbit; orbits it
-    cannot prove TRUE are collected and resolved in order of reduced matrix
-    size, so the expensive symbolic eliminations happen on the smallest
-    matrices first.  All suspicious orbits are resolved (subject to
-    ``max_certifications``), which keeps the report seed-independent and
-    the bad-orbit list complete.
+    The cheap pass (probabilistic rank, bound match, reduced shape) runs
+    first over every orbit; the orbits it leaves undecided are certified in
+    order of reduced matrix size, so the expensive symbolic eliminations
+    happen on the smallest matrices first.  ``max_certifications`` caps the
+    number of certification *attempts*, a run that exceeds ``max_terms``
+    included; orbits past the cap stay undecided.  Without a cap every
+    suspicious orbit is resolved, which keeps the report seed-independent
+    and the bad-orbit list complete.  ``certify_all`` certifies every orbit
+    and ignores the cap.
     """
     rank = rep.rank()
     jobs: list[_OrbitJob] = []
-    stab_dims: dict[LabeledPartition, int] = {}
     for orbit in all_nilpotent_orbits(rep):
         cent = build_centralizer(orbit, rep.m)
         matrix = build_action_matrix(cent)
-        stab_dims[orbit] = len(cent.by_degree[0])
-        jobs.append(_OrbitJob(orbit, matrix, probabilistic_rank(matrix, trials, seed)))
+        result, reduced = decide_index(
+            matrix, probabilistic_rank(matrix, trials, seed), rank,
+            certify=False, force_certify=certify_all)
+        jobs.append(_OrbitJob(orbit, len(cent.by_degree[0]), matrix, result, reduced))
 
-    pending: list[_OrbitJob] = []
-    for job in jobs:
-        dim = job.matrix.cols
-        if not certify_all and dim - job.prob == rank:
-            job.verdict = _verdict(job, stab_dims[job.orbit], cert=None,
-                                   gib=True, decided_by=DECIDED_BY_BOUND_MATCH)
-        else:
-            job.reduced = ground_field_reduce(job.matrix)
-            pending.append(job)
-
-    pending.sort(key=lambda j: (j.reduced.rows * j.reduced.cols,
-                                j.orbit.sort_key()))
-    certifications = 0
+    pending = sorted((j for j in jobs if certify_all or j.result.decided_by == UNDECIDED),
+                     key=lambda j: (j.reduced.rows * j.reduced.cols, j.orbit.sort_key()))
+    if not certify_all and max_certifications is not None:
+        pending = pending[:max_certifications]
     for job in pending:
-        budget_left = (max_certifications is None
-                       or certifications < max_certifications)
-        if not budget_left and not certify_all:
-            red = job.reduced
-            if job.prob in (red.rows, red.cols):
-                gib = job.matrix.cols - job.prob == rank
-                job.verdict = _verdict(job, stab_dims[job.orbit],
-                                       cert=job.prob, gib=gib,
-                                       decided_by=DECIDED_BY_REDUCED_SHAPE)
-            else:
-                job.verdict = _verdict(job, stab_dims[job.orbit],
-                                       cert=None, gib=None, decided_by=UNDECIDED)
-            continue
-        _resolve(job, rank, stab_dims[job.orbit],
-                 force_certify=certify_all, max_terms=max_terms)
-        if job.verdict.decided_by == DECIDED_BY_CERTIFIED_RANK:
-            certifications += 1
+        job.result, _ = decide_index(job.matrix, job.result.prob_rank, rank,
+                                     reduced=job.reduced, force_certify=certify_all,
+                                     max_terms=max_terms)
 
-    verdicts = tuple(job.verdict for job in jobs)
+    verdicts = tuple(_verdict(j.orbit, j.dim_stab, j.result, rank) for j in jobs)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)
-    if any(v.gib is False for v in verdicts):
+    if bad:
         rep_gib: bool | None = False
     elif all(v.gib is True for v in verdicts):
         rep_gib = True

@@ -26,17 +26,27 @@ from .exact_linalg import (
     LinearFormMatrix,
     ResourceLimitExceeded,
     certified_rank,
+    ground_field_reduce,
     probabilistic_rank,
 )
+
+
+#: How a verdict was proven, cheapest first (see ``decide_index``).
+DECIDED_BY_BOUND_MATCH = "probabilistic-bound-match"
+DECIDED_BY_REDUCED_SHAPE = "reduced-shape"
+DECIDED_BY_CERTIFIED_RANK = "certified-rank"
+UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
 class IndexResult:
     """Outcome of one index computation.
 
-    ``index`` is dim(V) minus the best rank available: the certified rank
-    when present, else the probabilistic lower bound (making the index an
-    upper bound).  ``certified`` is true exactly when ``cert_rank`` is set.
+    ``index`` is dim(V) minus the best rank available: the exact rank when
+    present, else the probabilistic lower bound (making the index an upper
+    bound).  ``certified`` is true exactly when ``cert_rank`` is set, which
+    a reduced-shape pin does as well as a Bareiss run.  ``decided_by`` names
+    the proof behind the result, or is ``UNDECIDED``.
     """
 
     dim_module: int
@@ -44,6 +54,57 @@ class IndexResult:
     cert_rank: int | None
     index: int
     certified: bool
+    decided_by: str
+
+
+def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
+                 reduced: LinearFormMatrix | None = None, certify: bool = True,
+                 force_certify: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
+                 ) -> tuple[IndexResult, LinearFormMatrix | None]:
+    """Prove the index of ``matrix``, given its probabilistic rank ``prob``.
+
+    ``target`` is a lower bound for the index that the caller already has
+    (min(r) for an orbit, the declared rank for a document) or None.  The
+    proofs, in order of cost:
+
+      1. bound match: dim - prob is an upper bound for the index, so if it
+         equals ``target`` the index is ``target``;
+      2. reduced shape: the generic rank is at most either side of
+         ``ground_field_reduce(matrix)`` and at least prob, so prob equal to
+         a side pins the rank;
+      3. certified rank of the reduced matrix, run only when ``certify``;
+      4. if certification is not run or exceeds ``max_terms``, whichever of
+         1 and 2 held, else ``UNDECIDED``.
+
+    ``force_certify`` skips straight to step 3, keeping 1 and 2 for step 4.
+    Returns the result and the reduced matrix (None when step 1 decided);
+    a caller that ran without ``certify`` passes the latter back as
+    ``reduced`` to resume at step 3.
+    """
+    dim = matrix.cols
+    proof: tuple[int | None, str] | None = None  # (exact rank, decided_by)
+    if target is not None and dim - prob == target:
+        proof = (None, DECIDED_BY_BOUND_MATCH)
+    if proof is None or force_certify:
+        if reduced is None:
+            reduced = ground_field_reduce(matrix)
+        if proof is None and prob in (reduced.rows, reduced.cols):
+            proof = (prob, DECIDED_BY_REDUCED_SHAPE)
+        if certify and (proof is None or force_certify):
+            try:
+                proof = (certified_rank(reduced, max_terms), DECIDED_BY_CERTIFIED_RANK)
+            except ResourceLimitExceeded:
+                pass  # the cheaper proofs stay valid when elimination is abandoned
+    cert, decided_by = proof or (None, UNDECIDED)
+    result = IndexResult(
+        dim_module=dim,
+        prob_rank=prob,
+        cert_rank=cert,
+        index=dim - (prob if cert is None else cert),
+        certified=cert is not None,
+        decided_by=decided_by,
+    )
+    return result, reduced
 
 
 def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
@@ -62,30 +123,22 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     return LinearFormMatrix(grid, ncols)
 
 
-def index_of_matrix(matrix: LinearFormMatrix, *, trials: int = DEFAULT_TRIALS,
-                    seed: int = 0, force_certify: bool = False,
+def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
+                    trials: int = DEFAULT_TRIALS, seed: int = 0,
+                    force_certify: bool = False,
                     max_terms: int = DEFAULT_TERM_LIMIT) -> IndexResult:
-    """Index of the action encoded by ``matrix``.
+    """Index of the action encoded by ``matrix``, proven by ``decide_index``.
 
-    With ``force_certify`` the exact rank is attempted; if certification
-    exceeds its resource budget the probabilistic value is reported with
-    ``certified=False`` rather than failing the computation.
+    ``target`` is the declared index, if any; a rank that disagrees with it
+    is certified before it is reported.  Without a target only
+    ``force_certify`` runs the certification.  A certification that exceeds
+    its resource budget leaves whatever cheaper proof held, or
+    ``UNDECIDED``, rather than failing the computation.
     """
     prob = probabilistic_rank(matrix, trials, seed)
-    cert: int | None = None
-    if force_certify:
-        try:
-            cert = certified_rank(matrix, max_terms)
-        except ResourceLimitExceeded:
-            cert = None
-    rank = cert if cert is not None else prob
-    return IndexResult(
-        dim_module=matrix.cols,
-        prob_rank=prob,
-        cert_rank=cert,
-        index=matrix.cols - rank,
-        certified=cert is not None,
-    )
+    return decide_index(matrix, prob, target,
+                        certify=force_certify or target is not None,
+                        force_certify=force_certify, max_terms=max_terms)[0]
 
 
 def compute_index(cent: GradedCentralizer, *, trials: int = DEFAULT_TRIALS,

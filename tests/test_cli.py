@@ -67,12 +67,12 @@ class TestCheckCommand:
         assert "error" in err
 
     def test_undecided_exit_code(self, capsys, monkeypatch):
-        import thetagib.gib_checker as gc
+        import thetagib.index_engine as ie
 
         def explode(*a, **k):
-            raise gc.ResourceLimitExceeded("forced for the test")
+            raise ie.ResourceLimitExceeded("forced for the test")
 
-        monkeypatch.setattr(gc, "certified_rank", explode)
+        monkeypatch.setattr(ie, "certified_rank", explode)
         code, out, _ = run_cli(capsys, "check", "3,5")
         assert code == 2
         assert "undecided" in out
@@ -233,6 +233,68 @@ class TestIndexFileCommand:
         doc = json.loads(out)
         assert doc["index"] == 2 and doc["matches_declared"] is False
         assert doc["certified"] is True
+
+    def orbit_doc(self, tmp_path, r, orbit):
+        from thetagib import build_centralizer, export_action
+        from thetagib.orbits import LabeledPartition
+
+        rep = ThetaRep.of(*r)
+        cent = build_centralizer(LabeledPartition.parse(orbit), rep.m)
+        return self.write(tmp_path, export_action(cent, declared_rank=rep.rank()))
+
+    def test_mismatch_runs_one_probabilistic_rank(self, capsys, tmp_path, monkeypatch):
+        import thetagib.index_engine as ie
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return prob(*a, **k)
+
+        prob = ie.probabilistic_rank
+        monkeypatch.setattr(ie, "probabilistic_rank", counted)
+        path = self.orbit_doc(tmp_path, (2, 2, 2, 1), "3^0 3^2 1^1")
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0 and json.loads(out)["matches_declared"] is False
+        assert len(calls) == 1
+
+    def test_reduced_shape_decides_without_bareiss(self, capsys, tmp_path, monkeypatch):
+        # 28x28 and prob 23 equal to the reduced row count: no elimination,
+        # which on this matrix runs for more than a minute
+        import thetagib.index_engine as ie
+
+        def forbidden(*a, **k):
+            raise AssertionError("certified_rank must not run")
+
+        monkeypatch.setattr(ie, "certified_rank", forbidden)
+        path = self.orbit_doc(tmp_path, (4, 4, 4), "2^0 2^0 2^1 2^1 1^0 1^0 1^2 1^2")
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["dim_v"], doc["prob_rank"], doc["index"]) == (28, 23, 5)
+        assert doc["certified"] is True and doc["decided_by"] == "reduced-shape"
+        assert doc["matches_declared"] is False
+
+    def test_undecided_exit_code(self, capsys, tmp_path, monkeypatch):
+        import thetagib.index_engine as ie
+
+        def explode(*a, **k):
+            raise ie.ResourceLimitExceeded("forced for the test")
+
+        monkeypatch.setattr(ie, "certified_rank", explode)
+        # only the symbolic elimination decides this orbit of (3,5)
+        path = self.orbit_doc(tmp_path, (3, 5), "3^1 3^1 1^0 1^1")
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["decided_by"] == "undecided" and doc["matches_declared"] is None
+
+    def test_denominator_multiple_of_evaluation_prime(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 0,
+                                     "brackets": [[0, 0, 0, 1, 2147483647]]})
+        code, out, _ = run_cli(capsys, "index-file", path)
+        assert code == 0
+        assert "index=0" in out and "verdict true" in out
 
     def test_torus_full_rank(self, capsys, tmp_path):
         path = self.write(tmp_path, {

@@ -97,6 +97,22 @@ class TestCheckRep:
         assert report.undecided_orbits
         assert report.rep_gib is None
 
+    def test_certification_cap_counts_attempts(self, monkeypatch):
+        # a run that exceeds max_terms uses up the budget like a finished one
+        import thetagib.index_engine as ie
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return certify(*a, **k)
+
+        certify = ie.certified_rank
+        monkeypatch.setattr(ie, "certified_rank", counted)
+        report = check_rep(ThetaRep.of(3, 3, 3, 1), max_terms=0, max_certifications=1)
+        assert len(calls) == 1
+        assert report.undecided_orbits
+
     def test_verdicts_independent_of_trials(self):
         a = check_rep(ThetaRep.of(2, 2, 3), trials=1, seed=5)
         b = check_rep(ThetaRep.of(2, 2, 3), trials=6, seed=11)

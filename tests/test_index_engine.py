@@ -19,6 +19,7 @@ from thetagib import (
     parse_action_document,
     scalar_rank,
 )
+from thetagib.index_engine import DECIDED_BY_REDUCED_SHAPE
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 
 
@@ -132,6 +133,14 @@ class TestGenericDocuments:
         mat, declared = parse_action_document(doc)
         res = index_of_matrix(mat, force_certify=True)
         assert res.index == 0 == declared
+
+    def test_blown_certification_keeps_the_shape_proof(self):
+        doc = {"dim_q": 3, "dim_v": 3,
+               "brackets": [[0, 0, 0, 1, 1], [1, 1, 1, 2, 1], [2, 2, 2, -3, 1]]}
+        mat, _ = parse_action_document(doc)
+        res = index_of_matrix(mat, force_certify=True, max_terms=0)
+        assert res.decided_by == DECIDED_BY_REDUCED_SHAPE
+        assert res.certified and res.cert_rank == 3 and res.index == 0
 
     def test_export_recheck_round_trip(self):
         # the named bad orbit of (2,2,2,1): exported document must reproduce
