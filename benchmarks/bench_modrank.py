@@ -15,7 +15,7 @@ from array import array
 
 from thetagib import ThetaRep, build_action_matrix, build_centralizer
 from thetagib._modrank_py import rank_mod_p as rank_py
-from thetagib.exact_linalg import EVAL_PRIME, _modular_coefficient_table
+from thetagib.exact_linalg import EVAL_PRIME
 from thetagib.orbits import all_nilpotent_orbits
 
 try:
@@ -64,19 +64,13 @@ def bench_action_matrices(vectors=((3, 3, 3), (3, 3, 4), (2, 2, 6)), trials=3, s
             matrix = build_action_matrix(build_centralizer(orbit, rep.m))
             if matrix.rows == 0 or matrix.cols == 0:
                 continue
-            table = _modular_coefficient_table(matrix, EVAL_PRIME)
             for _ in range(trials):
                 point = [rng.randrange(EVAL_PRIME)
                          for _ in range(matrix.num_indeterminates)]
-                flat = array("q", bytes(8 * matrix.rows * matrix.cols))
-                pos = 0
-                for row in table:
-                    for terms in row:
-                        v = 0
-                        for k, c in terms:
-                            v += c * point[k]
-                        flat[pos] = v % EVAL_PRIME
-                        pos += 1
+                flat = array("q", [
+                    sum(c * point[k] for k, c in e.coeffs.items()) % EVAL_PRIME
+                    for row in matrix.entries for e in row
+                ])
                 flats.append((flat, matrix.rows, matrix.cols))
 
         def run(kernel):

@@ -16,7 +16,6 @@ from .exact_linalg import (
     LinearForm,
     LinearFormMatrix,
     MultiPoly,
-    Rational,
     ResourceLimitExceeded,
     certified_rank,
     ground_field_reduce,
@@ -69,7 +68,6 @@ __all__ = [
     "MultiPoly",
     "OrbitVerdict",
     "PatternFlags",
-    "Rational",
     "ResourceLimitExceeded",
     "ThetaRep",
     "USING_COMPILED_KERNEL",

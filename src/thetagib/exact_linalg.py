@@ -2,7 +2,10 @@
 
 The central object is a matrix whose entries are homogeneous linear forms in
 indeterminates a_1, ..., a_s.  Its *generic rank* (the rank over the function
-field) is what index computations consume, and three routines bracket it:
+field) is what index computations consume.  Scaling a row by a nonzero
+constant keeps that rank, so a matrix stores every row with its denominators
+cleared: all coefficients are ints, and each routine below reads them as
+they are.  Three routines bracket the rank:
 
 * ``probabilistic_rank``: evaluate at random points of a large prime field.
   The result is a lower bound for the generic rank and equals it with
@@ -12,7 +15,7 @@ field) is what index computations consume, and three routines bracket it:
   rank by replacing rows (then columns) with a Q-basis of their span, the
   rows being read as vectors of coefficient tuples over Q.
 * ``certified_rank``: exact generic rank via fraction-free (Bareiss)
-  elimination over Q[a_1..a_s], run after ``ground_field_reduce``.
+  elimination over Z[a_1..a_s], run after ``ground_field_reduce``.
 
 All values are immutable after construction; every routine here is pure, so
 independent rank computations can run in parallel without shared state.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import random
 from array import array
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Mapping, Sequence
 
 try:
@@ -34,10 +37,6 @@ except ImportError:  # pragma: no cover - depends on the build environment
     from ._modrank_py import rank_mod_p as _rank_mod_p
 
     USING_COMPILED_KERNEL = False
-
-# Exact rational scalars.  Fraction already maintains gcd-reduced numerator
-# and positive denominator, which is all the arithmetic here needs.
-Rational = Fraction
 
 #: Evaluation field for randomized rank: 2**31 - 1 (prime), so products of
 #: reduced entries stay below 2**62 and fit machine words in the kernel.
@@ -64,7 +63,8 @@ class LinearForm:
     """Homogeneous linear form sum_k c_k * a_k with rational coefficients.
 
     Indeterminates are indexed from 0; display names are 1-based (``a1``).
-    Zero coefficients are never stored.
+    Zero coefficients are never stored; int coefficients stay ints, any
+    other becomes a Fraction.
     """
 
     __slots__ = ("coeffs",)
@@ -73,18 +73,11 @@ class LinearForm:
         clean = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = _as_rational(c)
+                if not isinstance(c, int):
+                    c = Fraction(c)
                 if c:
                     clean[int(k)] = c
         self.coeffs = clean
-
-    @classmethod
-    def zero(cls) -> "LinearForm":
-        return cls()
-
-    @classmethod
-    def term(cls, k: int, c=1) -> "LinearForm":
-        return cls({k: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -119,7 +112,8 @@ class LinearForm:
         return self + (-other)
 
     def scaled(self, c) -> "LinearForm":
-        c = _as_rational(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return LinearForm()
         res = LinearForm.__new__(LinearForm)
@@ -131,9 +125,6 @@ class LinearForm:
         for k, c in self.coeffs.items():
             total += c * _as_rational(point[k])
         return total
-
-    def max_index(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -155,7 +146,13 @@ class LinearForm:
 
 
 class LinearFormMatrix:
-    """rows x cols matrix of ``LinearForm`` entries in s indeterminates."""
+    """rows x cols matrix of ``LinearForm`` entries in s indeterminates.
+
+    The constructor stores each row multiplied by the lcm of its coefficient
+    denominators, so every stored coefficient is an int: ``[[a1/2, a2/3]]``
+    is kept as ``[[3*a1, 2*a2]]``.  Row scaling keeps the generic rank, and
+    the rank layers then run over Z without rescaling.
+    """
 
     __slots__ = ("rows", "cols", "num_indeterminates", "entries")
 
@@ -170,23 +167,24 @@ class LinearFormMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows")
+            scale = 0  # lcm of the row's denominators; 0 while all are ints
             for e in row:
-                if e.max_index() >= num_indeterminates:
-                    raise ValueError(
-                        f"indeterminate index {e.max_index()} out of range "
-                        f"(s={num_indeterminates})"
-                    )
+                for k, c in e.coeffs.items():
+                    if not 0 <= k < num_indeterminates:
+                        raise ValueError(
+                            f"indeterminate index {k} out of range "
+                            f"(s={num_indeterminates})"
+                        )
+                    if type(c) is not int:
+                        scale = lcm(scale or 1, c.denominator)
+            if scale:
+                row = [LinearForm({k: int(c * scale) for k, c in e.coeffs.items()})
+                       for e in row]
             grid.append(tuple(row))
         self.rows = rows
         self.cols = cols
         self.num_indeterminates = num_indeterminates
         self.entries = tuple(grid)
-
-    def entry(self, i: int, j: int) -> LinearForm:
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
 
     def evaluate(self, point: Sequence) -> list[list[Fraction]]:
         """Substitute a point for (a_1, ..., a_s); exact rational result."""
@@ -246,47 +244,24 @@ def scalar_rank(matrix: Sequence[Sequence]) -> int:
 # Probabilistic rank.
 
 
-def _row_scales(M: LinearFormMatrix) -> list[int]:
-    """Per row of M, the lcm of its coefficient denominators.
+def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
+                      p: int = EVAL_PRIME) -> int:
+    """Rank over F_p of M evaluated at an integer point (reduced mod p).
 
-    Scaling a row by a nonzero constant keeps the rank over Q(a), and an
-    integer matrix reduced mod p can only lose rank, so ranks mod p of the
-    rows so scaled stay lower bounds for the generic rank of M.
+    An integer matrix reduced mod p can only lose rank, so this is a lower
+    bound for the generic rank of M.
     """
-    scales = []
-    for row in M.entries:
-        scale = 1
-        for e in row:
-            for c in e.coeffs.values():
-                if scale % c.denominator:
-                    scale = scale * c.denominator // gcd(scale, c.denominator)
-        scales.append(scale)
-    return scales
-
-
-def _modular_coefficient_table(M: LinearFormMatrix, p: int):
-    """Per-entry list of (index, coefficient mod p), shared across trials."""
-    return [
-        [[(k, c.numerator * (scale // c.denominator) % p) for k, c in e.coeffs.items()]
-         for e in row]
-        for row, scale in zip(M.entries, _row_scales(M))
-    ]
-
-
-def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int], p: int = EVAL_PRIME,
-                      _table=None) -> int:
-    """Rank over F_p of M evaluated at an integer point (reduced mod p)."""
     if M.rows == 0 or M.cols == 0:
         return 0
-    table = _table if _table is not None else _modular_coefficient_table(M, p)
     flat = array("q", bytes(8 * M.rows * M.cols))
     pos = 0
-    for row in table:
-        for terms in row:
-            v = 0
-            for k, c in terms:
-                v += c * point[k]
-            flat[pos] = v % p
+    for row in M.entries:
+        for e in row:
+            if e.coeffs:
+                v = 0
+                for k, c in e.coeffs.items():
+                    v += c * point[k]
+                flat[pos] = v % p
             pos += 1
     return _rank_mod_p(flat, M.rows, M.cols, p)
 
@@ -304,13 +279,12 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
     if M.rows == 0 or M.cols == 0:
         return 0
     rng = random.Random(seed)
-    table = _modular_coefficient_table(M, EVAL_PRIME)
     s = M.num_indeterminates
     best = 0
     limit = min(M.rows, M.cols)
     for _ in range(trials):
         point = [rng.randrange(EVAL_PRIME) for _ in range(s)]
-        best = max(best, rank_at_point_mod(M, point, EVAL_PRIME, _table=table))
+        best = max(best, rank_at_point_mod(M, point, EVAL_PRIME))
         if best == limit:
             break
     return best
@@ -320,16 +294,16 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
 # Ground-field reduction.
 
 
-def _independent_indices(vectors: list[dict[int, Fraction]]) -> list[int]:
+def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
     """Indices of a maximal Q-independent subset (greedy, order-preserving)."""
-    basis: list[tuple[int, dict[int, Fraction]]] = []  # (pivot position, reduced vector)
+    basis: list[tuple[int, dict]] = []  # (pivot position, reduced vector)
     keep = []
     for idx, vec in enumerate(vectors):
         w = dict(vec)
         for pivot, bvec in basis:
             c = w.get(pivot)
             if c:
-                f = c / bvec[pivot]
+                f = _coeff_div(c, bvec[pivot])
                 for k, v in bvec.items():
                     nv = w.get(k, 0) - f * v
                     if nv:
@@ -342,7 +316,7 @@ def _independent_indices(vectors: list[dict[int, Fraction]]) -> list[int]:
     return keep
 
 
-def _row_vector(row: Sequence[LinearForm], s: int) -> dict[int, Fraction]:
+def _row_vector(row: Sequence[LinearForm], s: int) -> dict[int, int]:
     vec = {}
     for j, e in enumerate(row):
         for k, c in e.coeffs.items():
@@ -385,8 +359,8 @@ class MultiPoly:
 
     Only the carrier for fraction-free elimination; no stored coefficient is
     zero and all exponent tuples have length s.  Integer coefficients are
-    kept as plain ints (elimination rows get pre-scaled to clear
-    denominators, so the hot arithmetic is integer arithmetic).
+    kept as plain ints (matrix rows store integer coefficients, so the hot
+    arithmetic is integer arithmetic).
     """
 
     __slots__ = ("nvars", "terms")
@@ -412,7 +386,7 @@ class MultiPoly:
         for k, c in lf.coeffs.items():
             e = [0] * nvars
             e[k] = 1
-            terms[tuple(e)] = int(c) if c.denominator == 1 else c
+            terms[tuple(e)] = c
         return cls(nvars, terms)
 
     def is_zero(self) -> bool:
@@ -602,8 +576,7 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> 
     """Exact generic rank of M over Q(a_1..a_s).
 
     Applies ``ground_field_reduce`` first, then Bareiss elimination over the
-    polynomial ring.  Rows are pre-scaled to integer coefficients (a rank
-    -preserving row operation), so the elimination runs over Z.  Raises
+    polynomial ring Z[a], the matrix rows having integer coefficients.  Raises
     ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
     ``max_terms``; the caller decides what "too expensive" means for its
     verdict.
@@ -612,6 +585,5 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> 
     if reduced.rows == 0 or reduced.cols == 0:
         return 0
     s = reduced.num_indeterminates
-    grid = [[MultiPoly.from_linear_form(e.scaled(scale), s) for e in row]
-            for row, scale in zip(reduced.entries, _row_scales(reduced))]
+    grid = [[MultiPoly.from_linear_form(e, s) for e in row] for row in reduced.entries]
     return _bareiss_rank(grid, s, max_terms)

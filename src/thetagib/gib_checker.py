@@ -56,9 +56,12 @@ class OrbitVerdict:
 
     orbit: LabeledPartition
     dim_stabilizer: int
-    dim_module: int
     index_result: IndexResult
     gib: bool | None
+
+    @property
+    def dim_module(self) -> int:
+        return self.index_result.dim_module
 
     @property
     def decided_by(self) -> str:
@@ -86,7 +89,6 @@ def _verdict(orbit: LabeledPartition, dim_stab: int, result: IndexResult,
     return OrbitVerdict(
         orbit=orbit,
         dim_stabilizer=dim_stab,
-        dim_module=result.dim_module,
         index_result=result,
         gib=None if result.decided_by == UNDECIDED else result.index == rank,
     )

@@ -119,7 +119,7 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     ncols = len(cent.by_degree[cent.m - 1])
     grid = [[LinearForm() for _ in range(ncols)] for _ in range(nrows)]
     for (i, j), row in tensor.items():
-        grid[i][j] = LinearForm({k: c for k, c in row.items()})
+        grid[i][j] = LinearForm(row)
     return LinearFormMatrix(grid, ncols)
 
 

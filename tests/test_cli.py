@@ -61,6 +61,16 @@ class TestCheckCommand:
         doc = json.loads(out)
         assert all(o["certified"] for o in doc["orbits"])
 
+    def test_consecutive_calls_do_not_share_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "2,2,1", "--certify-all", "--format", "json")
+        assert code == 0
+        assert {o["decided_by"] for o in json.loads(out)["orbits"]} == {"certified-rank"}
+        code, out, _ = run_cli(capsys, "check", "2,2,1", "--format", "json")
+        assert code == 0
+        assert "certified-rank" not in {o["decided_by"] for o in json.loads(out)["orbits"]}
+        code, out, _ = run_cli(capsys, "check", "2,2,1")
+        assert code == 0 and out.startswith("grading ")
+
     def test_bad_vector_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "3,x,2")
         assert code == 1

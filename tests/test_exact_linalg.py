@@ -217,6 +217,31 @@ class TestRankInvariants:
             assert certified_rank(LinearFormMatrix(scaled, m.num_indeterminates)) == cert
 
 
+class TestIntegerRows:
+    def test_fraction_row_is_stored_with_denominators_cleared(self):
+        m = LinearFormMatrix([[lf(a1=Fraction(1, 2)), lf(a2=Fraction(1, 3))]], 2)
+        assert [e.coeffs for e in m.entries[0]] == [{0: 3}, {1: 2}]
+        assert all(type(c) is int for e in m.entries[0] for c in e.coeffs.values())
+
+    def test_action_matrix_coefficients_are_ints(self):
+        m = matrix_332_orbit()
+        coeffs = [c for row in m.entries for e in row for c in e.coeffs.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+    def test_large_coefficients_stay_exact(self):
+        # the second row minus a third of the first is (0, a1); a float
+        # quotient rounds it to zero and merges the rows
+        big = 2**60
+        m = LinearFormMatrix([[lf(a1=3), lf(a1=3 * big)],
+                              [lf(a1=1), lf(a1=big + 1)]], 1)
+        assert ground_field_reduce(m).rows == 2
+        assert certified_rank(m) == 2
+
+    def test_negative_indeterminate_index_is_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            LinearFormMatrix([[LinearForm({-1: 1}), LinearForm({0: 1})]], 2)
+
+
 class TestMultiPoly:
     def test_product_division_round_trip(self):
         rng = random.Random(13)

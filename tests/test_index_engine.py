@@ -174,7 +174,19 @@ class TestGenericDocuments:
         mat, _ = parse_action_document(doc)
         # repeated (i, j, k) entries accumulate: 1/2 + 1/2 = 1
         assert mat.entries[0][0].coeffs == {0: 1}
-        assert str(mat.entries[1][1]) == "1/3*a2"
+        assert str(mat.entries[1][1]) == "a2"  # 1/3*a2, its row scaled by 3
+
+    def test_parsed_rows_have_integer_coefficients(self):
+        # row 0 is (1/2 + 1/2)*a1, a2: without accumulation it would be
+        # stored as a1, 2*a2
+        doc = {"dim_q": 2, "dim_v": 2,
+               "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [0, 1, 1, 1, 1],
+                            [1, 0, 1, 2, 3], [1, 1, 0, -5, 6]]}
+        mat, _ = parse_action_document(doc)
+        assert [e.coeffs for e in mat.entries[0]] == [{0: 1}, {1: 1}]
+        assert [e.coeffs for e in mat.entries[1]] == [{1: 4}, {0: -5}]
+        assert all(type(c) is int
+                   for row in mat.entries for e in row for c in e.coeffs.values())
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"dim_v": 1}, "dim_q"),
