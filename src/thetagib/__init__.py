@@ -15,7 +15,6 @@ from .exact_linalg import (
     USING_COMPILED_KERNEL,
     LinearForm,
     LinearFormMatrix,
-    MultiPoly,
     ResourceLimitExceeded,
     certified_rank,
     ground_field_reduce,
@@ -65,7 +64,6 @@ __all__ = [
     "LabeledPartition",
     "LinearForm",
     "LinearFormMatrix",
-    "MultiPoly",
     "OrbitVerdict",
     "PatternFlags",
     "ResourceLimitExceeded",

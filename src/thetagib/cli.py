@@ -298,7 +298,7 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 def _cmd_check(args) -> int:
     rep = ThetaRep.parse(args.rep)
     report = check_rep(rep, trials=args.trials, seed=args.seed,
-                       certify_all=args.certify_all)
+                       certify_all=args.certify_all, max_terms=args.max_terms)
     if args.format == "json":
         print(json.dumps(report_detail_dict(report), indent=2))
     elif args.format == "csv":
@@ -317,7 +317,8 @@ def _cmd_sweep(args) -> int:
         dedup_cyclic=not args.no_dedup,
     )
     rows = sweep(spec, trials=args.trials, seed=args.seed,
-                 certify_all=args.certify_all, jobs=args.jobs)
+                 certify_all=args.certify_all, max_terms=args.max_terms,
+                 jobs=args.jobs)
     print(emit_report(rows, args.format), end="")
     return 2 if any(r.rep_gib is None for r in rows) else 0
 
@@ -372,7 +373,8 @@ def _cmd_index_file(args) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
     result = index_of_matrix(matrix, target=declared, trials=args.trials,
-                             seed=args.seed, force_certify=args.certify_all)
+                             seed=args.seed, force_certify=args.certify_all,
+                             max_terms=args.max_terms)
     undecided = result.decided_by == UNDECIDED
     matches = None if declared is None or undecided else result.index == declared
     payload = {
@@ -412,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the random evaluations")
         p.add_argument("--certify-all", action="store_true",
                        help="run the exact symbolic rank on every orbit")
+        p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
+                       help="abandon an exact symbolic rank once an intermediate "
+                            "polynomial passes this many terms; the orbit or "
+                            "document is then undecided unless a cheaper proof "
+                            "holds")
         p.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
 

@@ -17,6 +17,19 @@ they are.  Three routines bracket the rank:
 * ``certified_rank``: exact generic rank via fraction-free (Bareiss)
   elimination over Z[a_1..a_s], run after ``ground_field_reduce``.
 
+The elimination keeps each polynomial as a dict from a packed exponent to
+an int coefficient.  An exponent vector is one int made of s fields of
+``width`` bits, variable a_1 in the most significant field, so lex order is
+int order and a monomial product is one int addition.  At Bareiss step r
+every cell is homogeneous of degree r + 1, so no numerator formed before a
+division has degree above 2*min(rows, cols); ``certified_rank`` fixes
+``width = (2*min(rows, cols)).bit_length() + 1`` per call, and the top bit
+of each field is a guard bit that stays zero.  With ``GUARD`` the mask of
+all guard bits, a monomial d divides e exactly when
+``((e | GUARD) - d) & GUARD == GUARD``: a field where d exceeds e borrows
+its guard bit away, and no borrow crosses into the next field.  Exact
+division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
+
 All values are immutable after construction; every routine here is pure, so
 independent rank computations can run in parallel without shared state.
 """
@@ -26,6 +39,7 @@ from __future__ import annotations
 import random
 from array import array
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -294,6 +308,16 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
 # Ground-field reduction.
 
 
+def _coeff_div(a, b):
+    """a / b without drifting through floats; stays int when it can."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, rem = divmod(a, b)
+        if rem == 0:
+            return q
+        return Fraction(a, b)
+    return _as_rational(a) / _as_rational(b)
+
+
 def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
     """Indices of a maximal Q-independent subset (greedy, order-preserving)."""
     basis: list[tuple[int, dict]] = []  # (pivot position, reduced vector)
@@ -351,199 +375,99 @@ def ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials and certified (fraction-free) rank.
+# Certified (fraction-free) rank over Z[a].
 
 
-class MultiPoly:
-    """Sparse polynomial over Q: map from exponent tuple to coefficient.
+def _packing(nvars: int, max_degree: int) -> tuple[int, int]:
+    """(width, guard) for exponent vectors of total degree <= max_degree.
 
-    Only the carrier for fraction-free elimination; no stored coefficient is
-    zero and all exponent tuples have length s.  Integer coefficients are
-    kept as plain ints (matrix rows store integer coefficients, so the hot
-    arithmetic is integer arithmetic).
+    Each variable gets a field of ``width`` bits, variable 0 the most
+    significant; the top bit of every field is a guard bit, and ``guard`` is
+    the mask of all of them.
     """
+    width = max_degree.bit_length() + 1
+    return width, sum(1 << (k * width + width - 1) for k in range(nvars))
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        self.nvars = nvars
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if not isinstance(c, (int, Fraction)):
-                    c = _as_rational(c)
-                if c:
-                    clean[tuple(e)] = c
-        self.terms = clean
+def _cross(a: dict, piv: dict, left: dict, b: dict, cap: int) -> dict[int, int]:
+    """a*piv - left*b, aborting once the accumulated terms pass ``cap``."""
+    out: dict[int, int] = {}
+    get = out.get
+    for x, y, sign in ((a, piv, 1), (left, b, -1)):
+        for e1, c1 in x.items():
+            c1 *= sign
+            for e2, c2 in y.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+            if len(out) > cap:
+                raise ResourceLimitExceeded(
+                    f"intermediate polynomial passed {cap} terms during a product")
+    return {e: c for e, c in out.items() if c}
 
-    @classmethod
-    def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
 
-    @classmethod
-    def from_linear_form(cls, lf: LinearForm, nvars: int) -> "MultiPoly":
-        terms = {}
-        for k, c in lf.coeffs.items():
-            e = [0] * nvars
-            e[k] = 1
-            terms[tuple(e)] = c
-        return cls(nvars, terms)
+def _div_heap(num: dict, divisor: dict, guard: int) -> dict[int, int]:
+    """num / divisor over Z[a]; ``ArithmeticError`` unless it is exact.
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "MultiPoly":
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars = self.nvars
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
+    Heap division after Monagan & Pearce: the dividend is read in
+    descending order while a heap merges the products q_i * g_j of the
+    quotient terms found so far with the divisor's non-leading terms, one
+    pending product per quotient term, so the next monomial to cancel is
+    always at the top instead of being searched for in a remainder.
+    """
+    g = sorted(divisor.items(), reverse=True)
+    lead_e, lead_c = g[0]
+    rest = g[1:]
+    terms = sorted(num.items(), reverse=True)
+    nterms = len(terms)
+    quot: list[tuple[int, int]] = []
+    heap: list[tuple[int, int, int]] = []  # (-(q_i + g_j) exponent, i, j)
+    pos = 0
+    while pos < nterms or heap:
+        if heap and (pos == nterms or -heap[0][0] >= terms[pos][0]):
+            key = heap[0][0]
+            e = -key
+            c = 0
+            if pos < nterms and terms[pos][0] == e:
+                c = terms[pos][1]
+                pos += 1
+            while heap and heap[0][0] == key:
+                _, i, j = heap[0]
+                qe, qc = quot[i]
+                c -= qc * rest[j][1]
+                j += 1
+                if j < len(rest):
+                    heapreplace(heap, (-(qe + rest[j][0]), i, j))
                 else:
-                    out.pop(e, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars = self.nvars
-        res.terms = out
-        return res
-
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Quotient self / divisor, which must be exact."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if divisor.num_terms == 1:
-            (de, dc), = divisor.terms.items()
-            if not any(de):
-                res = MultiPoly.__new__(MultiPoly)
-                res.nvars = self.nvars
-                res.terms = {e: _coeff_div(c, dc) for e, c in self.terms.items()}
-                return res
-        # Lex-ordered long division; the leading term of the remainder drops
-        # strictly at every step, and exactness guarantees zero remainder.
-        dlead = max(divisor.terms)
-        dcoef = divisor.terms[dlead]
-        rem = dict(self.terms)
-        quot: dict[tuple, object] = {}
-        while rem:
-            rlead = max(rem)
-            qexp = tuple(a - b for a, b in zip(rlead, dlead))
-            if any(e < 0 for e in qexp):
-                raise ArithmeticError("inexact polynomial division")
-            qc = _coeff_div(rem[rlead], dcoef)
-            quot[qexp] = qc
-            for de, dc in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(qexp, de))
-                v = rem.get(e, 0) - qc * dc
-                if v:
-                    rem[e] = v
-                else:
-                    rem.pop(e, None)
-        res = MultiPoly.__new__(MultiPoly)
-        res.nvars = self.nvars
-        res.terms = quot
-        return res
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                f"a{k + 1}" + (f"^{d}" if d > 1 else "")
-                for k, d in enumerate(e) if d
-            )
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
+                    heappop(heap)
+            if not c:
+                continue
+        else:
+            e, c = terms[pos]
+            pos += 1
+        q, rem = divmod(c, lead_c)
+        if rem or ((e | guard) - lead_e) & guard != guard:
+            raise ArithmeticError("inexact polynomial division")
+        qe = e - lead_e
+        if rest:
+            heappush(heap, (-(qe + rest[0][0]), len(quot), 0))
+        quot.append((qe, q))
+    return dict(quot)
 
 
-def _coeff_div(a, b):
-    """a / b without drifting through floats; stays int when it can."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, rem = divmod(a, b)
-        if rem == 0:
-            return q
-        return Fraction(a, b)
-    return _as_rational(a) / _as_rational(b)
-
-
-def _mul_capped(a: MultiPoly, b: MultiPoly, cap: int) -> MultiPoly:
-    """a * b, aborting as soon as the accumulating product passes ``cap``."""
-    if a.num_terms * b.num_terms <= cap:
-        return a * b
-    out: dict[tuple, object] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        if len(out) > cap:
-            raise ResourceLimitExceeded(
-                f"intermediate polynomial passed {cap} terms during a product"
-            )
-    res = MultiPoly.__new__(MultiPoly)
-    res.nvars = a.nvars
-    res.terms = out
-    return res
-
-
-def _bareiss_rank(grid: list[list[MultiPoly]], nvars: int, max_terms: int) -> int:
+def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
     """Fraction-free elimination with sparsest-pivot selection."""
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
-    prev: MultiPoly | None = None  # divisor for the current step; None = 1
+    prev: dict | None = None  # divisor for the current step; None = 1
     r = 0
     while r < nrows and r < ncols:
         best = None
         for i in range(r, nrows):
+            row = grid[i]
             for j in range(r, ncols):
-                e = grid[i][j]
-                if e:
-                    key = (e.num_terms, i, j)
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
+                e = row[j]
+                if e and (best is None or len(e) < best[0]):
+                    best = (len(e), i, j)
         if best is None:
             break
         _, pi, pj = best
@@ -552,21 +476,22 @@ def _bareiss_rank(grid: list[list[MultiPoly]], nvars: int, max_terms: int) -> in
         if pj != r:
             for row in grid:
                 row[r], row[pj] = row[pj], row[r]
-        piv = grid[r][r]
+        pivot_row = grid[r]
+        piv = pivot_row[r]
         for i in range(r + 1, nrows):
-            left = grid[i][r]
+            row = grid[i]
+            left = row[r]
             for j in range(r + 1, ncols):
-                num = _mul_capped(grid[i][j], piv, max_terms)
-                if left:
-                    num = num - _mul_capped(left, grid[r][j], max_terms)
-                cell = num.exact_div(prev) if prev is not None else num
-                if cell.num_terms > max_terms:
+                cell = _cross(row[j], piv, left, pivot_row[j], max_terms)
+                if prev is not None:
+                    cell = _div_heap(cell, prev, guard)
+                if len(cell) > max_terms:
                     raise ResourceLimitExceeded(
-                        f"intermediate polynomial has {cell.num_terms} terms "
+                        f"intermediate polynomial has {len(cell)} terms "
                         f"(limit {max_terms})"
                     )
-                grid[i][j] = cell
-            grid[i][r] = MultiPoly(nvars)
+                row[j] = cell
+            row[r] = {}
         prev = piv
         r += 1
     return r
@@ -585,5 +510,9 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> 
     if reduced.rows == 0 or reduced.cols == 0:
         return 0
     s = reduced.num_indeterminates
-    grid = [[MultiPoly.from_linear_form(e, s) for e in row] for row in reduced.entries]
-    return _bareiss_rank(grid, s, max_terms)
+    # at step r every cell is homogeneous of degree r + 1, so no numerator
+    # formed before a division has degree above 2 * min(rows, cols)
+    width, guard = _packing(s, 2 * min(reduced.rows, reduced.cols))
+    grid = [[{1 << ((s - 1 - k) * width): c for k, c in e.coeffs.items()} for e in row]
+            for row in reduced.entries]
+    return _bareiss_rank(grid, guard, max_terms)

@@ -81,6 +81,8 @@ def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
     a caller that ran without ``certify`` passes the latter back as
     ``reduced`` to resume at step 3.
     """
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     dim = matrix.cols
     proof: tuple[int | None, str] | None = None  # (exact rank, decided_by)
     if target is not None and dim - prob == target:

@@ -12,6 +12,7 @@ from itertools import product
 
 import numpy as np
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from thetagib import ThetaRep, check_rep
 from thetagib.centralizer import GradedCentralizer
@@ -129,9 +130,7 @@ def cell_exponents(cent: GradedCentralizer):
 # Symbolic rank oracle (sympy's elimination, independent of the Bareiss path).
 
 
-def sympy_generic_rank(matrix: LinearFormMatrix) -> int:
-    if matrix.rows == 0 or matrix.cols == 0:
-        return 0
+def _sympy_matrix(matrix: LinearFormMatrix) -> sympy.Matrix:
     s = matrix.num_indeterminates
     syms = sympy.symbols(f"a0:{max(s, 1)}")
 
@@ -141,7 +140,24 @@ def sympy_generic_rank(matrix: LinearFormMatrix) -> int:
             total += sympy.Rational(c.numerator, c.denominator) * syms[k]
         return total
 
-    return sympy.Matrix(matrix.rows, matrix.cols, entry).rank()
+    return sympy.Matrix(matrix.rows, matrix.cols, entry)
+
+
+def sympy_generic_rank(matrix: LinearFormMatrix) -> int:
+    if matrix.rows == 0 or matrix.cols == 0:
+        return 0
+    return _sympy_matrix(matrix).rank()
+
+
+def sympy_field_rank(matrix: LinearFormMatrix) -> int:
+    """Rank over QQ(a) by sympy's DomainMatrix elimination.
+
+    Same answer as ``sympy_generic_rank``, but fast enough for 7x7 symbolic
+    matrices, where ``Matrix.rank`` takes seconds each.
+    """
+    if matrix.rows == 0 or matrix.cols == 0:
+        return 0
+    return DomainMatrix.from_Matrix(_sympy_matrix(matrix)).to_field().rank()
 
 
 def minor_expansion_rank(matrix: LinearFormMatrix) -> int:

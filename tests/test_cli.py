@@ -71,6 +71,21 @@ class TestCheckCommand:
         code, out, _ = run_cli(capsys, "check", "2,2,1")
         assert code == 0 and out.startswith("grading ")
 
+    def test_max_terms_bounds_certification(self, capsys):
+        # no term budget: the one orbit of (3,5) that needs a Bareiss run is
+        # reported undecided, as check_rep(..., max_terms=0) reports it
+        code, out, _ = run_cli(capsys, "check", "3,5", "--max-terms", "0",
+                               "--format", "json")
+        assert code == 2
+        undecided = [o["orbit"] for o in json.loads(out)["orbits"]
+                     if o["decided_by"] == "undecided"]
+        assert undecided == ["3^1 3^1 1^0 1^1"]
+
+    def test_negative_max_terms_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "check", "3,5", "--max-terms", "-1")
+        assert code == 1
+        assert "max_terms" in err
+
     def test_bad_vector_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "3,x,2")
         assert code == 1
@@ -173,6 +188,13 @@ class TestSweepCommand:
                                  "--format", "json", "--jobs", "3")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_max_terms_is_forwarded(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "8", "--m", "2",
+                               "--max-terms", "0", "--format", "json")
+        assert code == 2
+        rows = {tuple(d["r"]): d for d in json.loads(out)}
+        assert rows[(3, 5)]["rep_gib"] is None
 
     def test_bad_range_is_an_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -298,6 +320,13 @@ class TestIndexFileCommand:
         assert code == 2
         doc = json.loads(out)
         assert doc["decided_by"] == "undecided" and doc["matches_declared"] is None
+
+    def test_max_terms_is_forwarded(self, capsys, tmp_path):
+        path = self.orbit_doc(tmp_path, (3, 5), "3^1 3^1 1^0 1^1")
+        code, out, _ = run_cli(capsys, "index-file", path, "--max-terms", "0",
+                               "--format", "json")
+        assert code == 2
+        assert json.loads(out)["decided_by"] == "undecided"
 
     def test_denominator_multiple_of_evaluation_prime(self, capsys, tmp_path):
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 0,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import minor_expansion_rank, random_matrix, sympy_generic_rank
+from helpers import minor_expansion_rank, random_matrix, sympy_field_rank, sympy_generic_rank
 from thetagib import (
     LabeledPartition,
     LinearForm,
@@ -18,7 +18,7 @@ from thetagib import (
     probabilistic_rank,
     scalar_rank,
 )
-from thetagib.exact_linalg import MultiPoly, rank_at_point_mod
+from thetagib.exact_linalg import _cross, _div_heap, _packing, rank_at_point_mod
 
 
 def lf(**kw):
@@ -172,6 +172,47 @@ class TestCertifiedRank:
             m = random_matrix(rng, max_rows=5, max_cols=5)
             assert certified_rank(m) == sympy_generic_rank(m)
 
+    def test_against_sympy_on_larger_random_matrices(self, monkeypatch):
+        # 5x5 to 7x7 in 2-3 indeterminates, so that cells, and the pivots
+        # divided by, carry several terms; an odd skew-symmetric matrix has
+        # a rank drop that no Q-reduction of its rows or columns finds
+        import thetagib.exact_linalg as el
+
+        divisor_terms = []
+
+        def recording_div(num, divisor, guard):
+            divisor_terms.append(len(divisor))
+            return _div_heap(num, divisor, guard)
+
+        monkeypatch.setattr(el, "_div_heap", recording_div)
+        rng = random.Random(77)
+        cases = []
+        while len(cases) < 8:
+            m = random_matrix(rng, max_rows=7, max_cols=7, max_vars=3)
+            if m.num_indeterminates >= 2 and min(m.rows, m.cols) >= 5:
+                cases.append(m)
+        for n in (5, 7):
+            s = rng.randint(2, 3)
+            upper = {(i, j): LinearForm({k: rng.randint(-3, 3) for k in range(s)})
+                     for i in range(n) for j in range(i + 1, n)}
+            cases.append(LinearFormMatrix(
+                [[upper[i, j] if i < j else -upper[j, i] if i > j else LinearForm()
+                  for j in range(n)] for i in range(n)], s))
+        for m in cases:
+            assert certified_rank(m) == sympy_field_rank(m)
+        assert cases[-1].rows == 7 and certified_rank(cases[-1]) <= 6
+        assert max(divisor_terms) > 1
+
+    def test_full_rank_at_the_field_width_bound(self):
+        # a1*I_12 with a1 added off the diagonal of the first row: with one
+        # indeterminate the exponents climb to 22, near the bound
+        # 2*min(rows, cols) = 24 that sets the packed field width, and past
+        # what a field one bit narrower holds
+        n = 12
+        grid = [[lf(a1=1) if i == j or i == 0 else LinearForm() for j in range(n)]
+                for i in range(n)]
+        assert certified_rank(LinearFormMatrix(grid, 1)) == n
+
     def test_resource_limit_is_catchable(self):
         rng = random.Random(4)
         grid = [[LinearForm({k: rng.randint(1, 9) for k in range(6)})
@@ -242,27 +283,43 @@ class TestIntegerRows:
             LinearFormMatrix([[LinearForm({-1: 1}), LinearForm({0: 1})]], 2)
 
 
-class TestMultiPoly:
+def packed(terms, s, width):
+    # {exponent tuple: coefficient} -> {packed exponent: coefficient}
+    return {sum(d << ((s - 1 - k) * width) for k, d in enumerate(e)): c
+            for e, c in terms.items() if c}
+
+
+class TestPackedPolynomials:
     def test_product_division_round_trip(self):
         rng = random.Random(13)
         for _ in range(40):
             s = rng.randint(1, 3)
+            width, guard = _packing(s, 4 * s)
 
             def rand_poly():
                 terms = {}
                 for _ in range(rng.randint(1, 4)):
                     e = tuple(rng.randint(0, 2) for _ in range(s))
-                    c = rng.randint(-4, 4)
-                    if c:
-                        terms[e] = c
-                return MultiPoly(s, terms)
+                    terms[e] = rng.randint(-4, 4)
+                return packed(terms, s, width)
 
             a, b = rand_poly(), rand_poly()
-            if a.is_zero() or b.is_zero():
+            if not a or not b:
                 continue
-            assert (a * b).exact_div(b) == a
+            assert _div_heap(_cross(a, b, {}, {}, 10**6), b, guard) == a
 
     def test_constant_division(self):
-        p = MultiPoly(2, {(1, 0): 6, (0, 1): 4})
-        half = p.exact_div(MultiPoly.constant(2, 2))
-        assert half.terms == {(1, 0): 3, (0, 1): 2}
+        width, guard = _packing(2, 2)
+        p = packed({(1, 0): 6, (0, 1): 4}, 2, width)
+        half = _div_heap(p, packed({(0, 0): 2}, 2, width), guard)
+        assert half == packed({(1, 0): 3, (0, 1): 2}, 2, width)
+
+    @pytest.mark.parametrize("num, den", [
+        ({(0, 1): 1}, {(1, 0): 1}),                   # a2 / a1
+        ({(1, 0): 3}, {(0, 0): 2}),                   # 3*a1 / 2
+        ({(2, 0): 1, (0, 2): 1}, {(1, 0): 1, (0, 1): 1}),  # (a1^2 + a2^2) / (a1 + a2)
+    ], ids=["monomial", "coefficient", "polynomial"])
+    def test_inexact_division_raises(self, num, den):
+        width, guard = _packing(2, 2)
+        with pytest.raises(ArithmeticError):
+            _div_heap(packed(num, 2, width), packed(den, 2, width), guard)

@@ -38,6 +38,15 @@ class TestCheckOrbit:
         with pytest.raises(ValueError):
             check_orbit(ThetaRep.of(2, 2), LabeledPartition(((3, 0),)))
 
+    def test_largest_certify_workload_orbit(self):
+        # a 21x24 reduced matrix of rank 20: its Bareiss run is the longest
+        # of the four orbits the benchmark's certify workload decides
+        rep = ThetaRep.of(4, 4, 5)
+        v = check_orbit(rep, LabeledPartition.parse("4^2 2^1 2^2 1^0 1^0 1^1 1^1 1^2"))
+        assert v.gib is False
+        assert v.index_result.index == 5
+        assert v.decided_by == DECIDED_BY_CERTIFIED_RANK
+
     def test_force_certify_decides_exactly(self):
         rep = ThetaRep.of(3, 3, 2)
         v = check_orbit(rep, LabeledPartition(((5, 0), (3, 1))), force_certify=True)
