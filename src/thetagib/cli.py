@@ -125,17 +125,24 @@ def row_from_report(report: GibReport) -> ClassificationRow:
 
 
 def _check_rep_task(args) -> GibReport:
-    rep, trials, seed, certify_all, max_terms = args
+    rep, trials, seed, certify_all, max_terms, cert_timeout = args
     return check_rep(rep, trials=trials, seed=seed, certify_all=certify_all,
-                     max_terms=max_terms)
+                     max_terms=max_terms, cert_timeout=cert_timeout)
 
 
 def sweep(spec: SweepSpec, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
           certify_all: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
+          cert_timeout: float | None = None,
           jobs: int = 1) -> list[ClassificationRow]:
-    """Classify every grading in range; rows come back in deterministic order."""
+    """Classify every grading in range; rows come back in deterministic order.
+
+    ``jobs`` worker processes split the gradings between them; it must be
+    at least 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     reps = sweep_reps(spec)
-    tasks = [(rep, trials, seed, certify_all, max_terms) for rep in reps]
+    tasks = [(rep, trials, seed, certify_all, max_terms, cert_timeout) for rep in reps]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_check_rep_task, tasks))
@@ -247,6 +254,7 @@ def report_detail_dict(report: GibReport) -> dict:
         "orbits": [
             {
                 "orbit": v.orbit.to_text(),
+                "computed_as": v.computed_as.to_text(),
                 "dim_stabilizer": v.dim_stabilizer,
                 "dim_module": v.dim_module,
                 "prob_rank": v.index_result.prob_rank,
@@ -298,7 +306,8 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 def _cmd_check(args) -> int:
     rep = ThetaRep.parse(args.rep)
     report = check_rep(rep, trials=args.trials, seed=args.seed,
-                       certify_all=args.certify_all, max_terms=args.max_terms)
+                       certify_all=args.certify_all, max_terms=args.max_terms,
+                       cert_timeout=args.cert_timeout)
     if args.format == "json":
         print(json.dumps(report_detail_dict(report), indent=2))
     elif args.format == "csv":
@@ -318,7 +327,7 @@ def _cmd_sweep(args) -> int:
     )
     rows = sweep(spec, trials=args.trials, seed=args.seed,
                  certify_all=args.certify_all, max_terms=args.max_terms,
-                 jobs=args.jobs)
+                 cert_timeout=args.cert_timeout, jobs=args.jobs)
     print(emit_report(rows, args.format), end="")
     return 2 if any(r.rep_gib is None for r in rows) else 0
 
@@ -374,7 +383,7 @@ def _cmd_index_file(args) -> int:
         return 1
     result = index_of_matrix(matrix, target=declared, trials=args.trials,
                              seed=args.seed, force_certify=args.certify_all,
-                             max_terms=args.max_terms)
+                             max_terms=args.max_terms, cert_timeout=args.cert_timeout)
     undecided = result.decided_by == UNDECIDED
     matches = None if declared is None or undecided else result.index == declared
     payload = {
@@ -419,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "polynomial passes this many terms; the orbit or "
                             "document is then undecided unless a cheaper proof "
                             "holds")
+        p.add_argument("--cert-timeout", type=float, default=None, metavar="SECONDS",
+                       help="abandon an exact symbolic rank after this many "
+                            "seconds, with the same outcome as --max-terms "
+                            "(default: no limit)")
         p.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
 
@@ -435,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-dedup", action="store_true",
                          help="do not identify cyclic rotations")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes")
+                         help="parallel worker processes (at least 1)")
     common(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -41,6 +41,7 @@ from array import array
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import lcm
+from time import monotonic
 from typing import Mapping, Sequence
 
 try:
@@ -64,7 +65,7 @@ DEFAULT_TERM_LIMIT = 10**6
 
 
 class ResourceLimitExceeded(Exception):
-    """Certified rank exceeded its polynomial-size budget."""
+    """Certified rank exceeded its polynomial-size or wall-clock budget."""
 
 
 def _as_rational(x) -> Fraction:
@@ -454,8 +455,13 @@ def _div_heap(num: dict, divisor: dict, guard: int) -> dict[int, int]:
     return dict(quot)
 
 
-def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
-    """Fraction-free elimination with sparsest-pivot selection."""
+def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
+                 deadline: float | None) -> int:
+    """Fraction-free elimination with sparsest-pivot selection.
+
+    ``deadline`` is a ``time.monotonic`` value checked before each row
+    operation, or None for no limit.
+    """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
     prev: dict | None = None  # divisor for the current step; None = 1
@@ -479,6 +485,8 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
         pivot_row = grid[r]
         piv = pivot_row[r]
         for i in range(r + 1, nrows):
+            if deadline is not None and monotonic() >= deadline:
+                raise ResourceLimitExceeded("certification passed its time limit")
             row = grid[i]
             left = row[r]
             for j in range(r + 1, ncols):
@@ -497,15 +505,18 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
     return r
 
 
-def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> int:
+def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
+                   timeout: float | None = None) -> int:
     """Exact generic rank of M over Q(a_1..a_s).
 
     Applies ``ground_field_reduce`` first, then Bareiss elimination over the
     polynomial ring Z[a], the matrix rows having integer coefficients.  Raises
     ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
-    ``max_terms``; the caller decides what "too expensive" means for its
-    verdict.
+    ``max_terms``, or when ``timeout`` seconds (None: no limit) have passed
+    at the start of a row operation; the caller decides what "too expensive"
+    means for its verdict.
     """
+    deadline = None if timeout is None else monotonic() + timeout
     reduced = ground_field_reduce(M)
     if reduced.rows == 0 or reduced.cols == 0:
         return 0
@@ -515,4 +526,4 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> 
     width, guard = _packing(s, 2 * min(reduced.rows, reduced.cols))
     grid = [[{1 << ((s - 1 - k) * width): c for k, c in e.coeffs.items()} for e in row]
             for row in reduced.entries]
-    return _bareiss_rank(grid, guard, max_terms)
+    return _bareiss_rank(grid, guard, max_terms, deadline)

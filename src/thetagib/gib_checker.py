@@ -24,6 +24,15 @@ A whole grading has the property iff every orbit does.  The driver delays
 the expensive step 5, collecting suspicious orbits from the cheap pass and
 certifying them smallest-matrix-first until all are resolved, so a FALSE
 report always names every bad orbit with a rank certificate.
+
+The driver also computes each orbit once per label-shift class.  Adding c
+to every block label leaves each degree s + t(j) - t(i) mod m unchanged, and
+the shifted partition lies in the same grading when c is a multiple of the
+rotation period of r, which also keeps min(r).  Re-sorting the shifted
+blocks into canonical order only permutes block indices, hence the rows and
+columns of the action matrix and its indeterminates with the columns, so
+the generic rank, the index and the verdict are equal.  The first orbit of
+each class in canonical order is computed; the others reuse its result.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ class OrbitVerdict:
     """One orbit's outcome: dims, index data, and the three-way verdict."""
 
     orbit: LabeledPartition
+    computed_as: LabeledPartition  # the orbit whose computation this reuses
     dim_stabilizer: int
     index_result: IndexResult
     gib: bool | None
@@ -84,10 +94,11 @@ class GibReport:
         return tuple(v.orbit for v in self.verdicts if v.decided_by == UNDECIDED)
 
 
-def _verdict(orbit: LabeledPartition, dim_stab: int, result: IndexResult,
-             rank: int) -> OrbitVerdict:
+def _verdict(orbit: LabeledPartition, computed_as: LabeledPartition, dim_stab: int,
+             result: IndexResult, rank: int) -> OrbitVerdict:
     return OrbitVerdict(
         orbit=orbit,
+        computed_as=computed_as,
         dim_stabilizer=dim_stab,
         index_result=result,
         gib=None if result.decided_by == UNDECIDED else result.index == rank,
@@ -106,11 +117,11 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
     matrix = build_action_matrix(cent)
     result, _ = decide_index(matrix, probabilistic_rank(matrix, trials, seed), rank,
                              force_certify=force_certify, max_terms=max_terms)
-    return _verdict(orbit, len(cent.by_degree[0]), result, rank)
+    return _verdict(orbit, orbit, len(cent.by_degree[0]), result, rank)
 
 
 class _OrbitJob:
-    """Per-orbit state between the cheap pass and the certification queue."""
+    """A shift class's representative between the cheap pass and the certify queue."""
 
     __slots__ = ("orbit", "dim_stab", "matrix", "result", "reduced")
 
@@ -124,42 +135,68 @@ class _OrbitJob:
         self.reduced = reduced
 
 
+def _rotation_period(r: tuple[int, ...]) -> int:
+    """Smallest d >= 1 with r rotated by d equal to r; it divides len(r)."""
+    return next(d for d in range(1, len(r) + 1) if r[d:] + r[:d] == r)
+
+
+def _shift_class(orbit: LabeledPartition, m: int, period: int) -> tuple:
+    """Least canonical block tuple among the in-grading label shifts of ``orbit``."""
+    return min(LabeledPartition(tuple((l, (t + c) % m) for l, t in orbit.blocks)).blocks
+               for c in range(0, m, period))
+
+
 def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
               certify_all: bool = False,
               max_terms: int = DEFAULT_TERM_LIMIT,
-              max_certifications: int | None = None) -> GibReport:
+              max_certifications: int | None = None,
+              cert_timeout: float | None = None) -> GibReport:
     """Verdict for a grading: the per-orbit procedure over all its orbits.
 
-    The cheap pass (probabilistic rank, bound match, reduced shape) runs
-    first over every orbit; the orbits it leaves undecided are certified in
-    order of reduced matrix size, so the expensive symbolic eliminations
-    happen on the smallest matrices first.  ``max_certifications`` caps the
-    number of certification *attempts*, a run that exceeds ``max_terms``
-    included; orbits past the cap stay undecided.  Without a cap every
-    suspicious orbit is resolved, which keeps the report seed-independent
-    and the bad-orbit list complete.  ``certify_all`` certifies every orbit
-    and ignores the cap.
+    Orbits that differ by a label shift keeping the grading are computed
+    once (see the module docstring): the first of each class in canonical
+    order is its representative, and every verdict names the representative
+    it reuses as ``computed_as``.  The cheap pass (probabilistic rank, bound
+    match, reduced shape) runs first over every representative; those it
+    leaves undecided are certified in order of reduced matrix size, so the
+    expensive symbolic eliminations happen on the smallest matrices first.
+    ``max_certifications`` caps the number of certification *attempts*, a
+    run that exceeds ``max_terms`` or ``cert_timeout`` seconds included;
+    classes past the cap stay undecided.  Without a cap every suspicious
+    class is resolved, which keeps the report seed-independent and the
+    bad-orbit list complete.  ``certify_all`` certifies every class and
+    ignores the cap.
     """
     rank = rep.rank()
-    jobs: list[_OrbitJob] = []
+    period = _rotation_period(rep.r)
+    jobs: dict[tuple, _OrbitJob] = {}  # shift class -> its representative's job
+    members: list[tuple[LabeledPartition, _OrbitJob]] = []
     for orbit in all_nilpotent_orbits(rep):
-        cent = build_centralizer(orbit, rep.m)
-        matrix = build_action_matrix(cent)
-        result, reduced = decide_index(
-            matrix, probabilistic_rank(matrix, trials, seed), rank,
-            certify=False, force_certify=certify_all)
-        jobs.append(_OrbitJob(orbit, len(cent.by_degree[0]), matrix, result, reduced))
+        key = _shift_class(orbit, rep.m, period)
+        job = jobs.get(key)
+        if job is None:
+            cent = build_centralizer(orbit, rep.m)
+            matrix = build_action_matrix(cent)
+            result, reduced = decide_index(
+                matrix, probabilistic_rank(matrix, trials, seed), rank,
+                certify=False, force_certify=certify_all,
+                max_terms=max_terms, cert_timeout=cert_timeout)  # validated here
+            job = jobs[key] = _OrbitJob(orbit, len(cent.by_degree[0]), matrix,
+                                        result, reduced)
+        members.append((orbit, job))
 
-    pending = sorted((j for j in jobs if certify_all or j.result.decided_by == UNDECIDED),
+    pending = sorted((j for j in jobs.values()
+                      if certify_all or j.result.decided_by == UNDECIDED),
                      key=lambda j: (j.reduced.rows * j.reduced.cols, j.orbit.sort_key()))
     if not certify_all and max_certifications is not None:
         pending = pending[:max_certifications]
     for job in pending:
         job.result, _ = decide_index(job.matrix, job.result.prob_rank, rank,
                                      reduced=job.reduced, force_certify=certify_all,
-                                     max_terms=max_terms)
+                                     max_terms=max_terms, cert_timeout=cert_timeout)
 
-    verdicts = tuple(_verdict(j.orbit, j.dim_stab, j.result, rank) for j in jobs)
+    verdicts = tuple(_verdict(orbit, j.orbit, j.dim_stab, j.result, rank)
+                     for orbit, j in members)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)
     if bad:
         rep_gib: bool | None = False

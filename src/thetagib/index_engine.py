@@ -60,6 +60,7 @@ class IndexResult:
 def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
                  reduced: LinearFormMatrix | None = None, certify: bool = True,
                  force_certify: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
+                 cert_timeout: float | None = None,
                  ) -> tuple[IndexResult, LinearFormMatrix | None]:
     """Prove the index of ``matrix``, given its probabilistic rank ``prob``.
 
@@ -73,8 +74,9 @@ def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
          ``ground_field_reduce(matrix)`` and at least prob, so prob equal to
          a side pins the rank;
       3. certified rank of the reduced matrix, run only when ``certify``;
-      4. if certification is not run or exceeds ``max_terms``, whichever of
-         1 and 2 held, else ``UNDECIDED``.
+      4. if certification is not run, or exceeds ``max_terms`` terms or
+         ``cert_timeout`` seconds (None: no limit), whichever of 1 and 2
+         held, else ``UNDECIDED``.
 
     ``force_certify`` skips straight to step 3, keeping 1 and 2 for step 4.
     Returns the result and the reduced matrix (None when step 1 decided);
@@ -83,6 +85,8 @@ def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
     """
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
+    if cert_timeout is not None and not cert_timeout >= 0:
+        raise ValueError(f"cert_timeout must be >= 0, got {cert_timeout}")
     dim = matrix.cols
     proof: tuple[int | None, str] | None = None  # (exact rank, decided_by)
     if target is not None and dim - prob == target:
@@ -94,7 +98,8 @@ def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
             proof = (prob, DECIDED_BY_REDUCED_SHAPE)
         if certify and (proof is None or force_certify):
             try:
-                proof = (certified_rank(reduced, max_terms), DECIDED_BY_CERTIFIED_RANK)
+                proof = (certified_rank(reduced, max_terms, cert_timeout),
+                         DECIDED_BY_CERTIFIED_RANK)
             except ResourceLimitExceeded:
                 pass  # the cheaper proofs stay valid when elimination is abandoned
     cert, decided_by = proof or (None, UNDECIDED)
@@ -128,7 +133,8 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
                     trials: int = DEFAULT_TRIALS, seed: int = 0,
                     force_certify: bool = False,
-                    max_terms: int = DEFAULT_TERM_LIMIT) -> IndexResult:
+                    max_terms: int = DEFAULT_TERM_LIMIT,
+                    cert_timeout: float | None = None) -> IndexResult:
     """Index of the action encoded by ``matrix``, proven by ``decide_index``.
 
     ``target`` is the declared index, if any; a rank that disagrees with it
@@ -140,7 +146,8 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
     prob = probabilistic_rank(matrix, trials, seed)
     return decide_index(matrix, prob, target,
                         certify=force_certify or target is not None,
-                        force_certify=force_certify, max_terms=max_terms)[0]
+                        force_certify=force_certify, max_terms=max_terms,
+                        cert_timeout=cert_timeout)[0]
 
 
 def compute_index(cent: GradedCentralizer, *, trials: int = DEFAULT_TRIALS,

@@ -86,6 +86,28 @@ class TestCheckCommand:
         assert code == 1
         assert "max_terms" in err
 
+    def test_cert_timeout_bounds_certification(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "3,5", "--cert-timeout", "0",
+                               "--format", "json")
+        assert code == 2
+        undecided = [o["orbit"] for o in json.loads(out)["orbits"]
+                     if o["decided_by"] == "undecided"]
+        assert undecided == ["3^1 3^1 1^0 1^1"]
+
+    def test_negative_cert_timeout_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "check", "3,5", "--cert-timeout", "-1")
+        assert code == 1
+        assert "cert_timeout" in err
+
+    def test_json_names_the_computed_representative(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "3,3,3", "--format", "json")
+        assert code == 0
+        computed_as = {o["orbit"]: o["computed_as"] for o in json.loads(out)["orbits"]}
+        assert len(computed_as) == 192
+        assert len(set(computed_as.values())) == 66
+        for bad in ("5^0 3^1 1^2", "5^1 3^2 1^0", "5^2 3^0 1^1"):
+            assert computed_as[bad] == "5^0 3^1 1^2"
+
     def test_bad_vector_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "3,x,2")
         assert code == 1
@@ -195,6 +217,21 @@ class TestSweepCommand:
         assert code == 2
         rows = {tuple(d["r"]): d for d in json.loads(out)}
         assert rows[(3, 5)]["rep_gib"] is None
+
+    def test_cert_timeout_is_forwarded(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "8", "--m", "2",
+                               "--cert-timeout", "0", "--format", "json")
+        assert code == 2
+        rows = {tuple(d["r"]): d for d in json.loads(out)}
+        assert rows[(3, 5)]["rep_gib"] is None
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_an_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "sweep", "--n", "3", "--m", "3",
+                                 "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "jobs must be >= 1" in err
 
     def test_bad_range_is_an_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -324,6 +361,13 @@ class TestIndexFileCommand:
     def test_max_terms_is_forwarded(self, capsys, tmp_path):
         path = self.orbit_doc(tmp_path, (3, 5), "3^1 3^1 1^0 1^1")
         code, out, _ = run_cli(capsys, "index-file", path, "--max-terms", "0",
+                               "--format", "json")
+        assert code == 2
+        assert json.loads(out)["decided_by"] == "undecided"
+
+    def test_cert_timeout_is_forwarded(self, capsys, tmp_path):
+        path = self.orbit_doc(tmp_path, (3, 5), "3^1 3^1 1^0 1^1")
+        code, out, _ = run_cli(capsys, "index-file", path, "--cert-timeout", "0",
                                "--format", "json")
         assert code == 2
         assert json.loads(out)["decided_by"] == "undecided"

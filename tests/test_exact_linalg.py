@@ -221,6 +221,33 @@ class TestCertifiedRank:
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, max_terms=2)
 
+    def test_time_limit_is_checked_before_each_row_operation(self, monkeypatch):
+        # a clock that ticks once per reading: the 6x6 elimination makes
+        # 5 + 4 + 3 + 2 + 1 = 15 row operations, and the limit is read
+        # before each of them
+        import thetagib.exact_linalg as el
+
+        rng = random.Random(4)
+        grid = [[LinearForm({k: rng.randint(1, 9) for k in range(6)})
+                 for _ in range(6)] for _ in range(6)]
+        m = LinearFormMatrix(grid, 6)
+        readings = []
+
+        def clock():
+            readings.append(len(readings))
+            return readings[-1]
+
+        monkeypatch.setattr(el, "monotonic", clock)
+        assert certified_rank(m, timeout=16) == 6
+        assert len(readings) == 16  # the start, then one per row operation
+        readings.clear()
+        with pytest.raises(ResourceLimitExceeded):
+            certified_rank(m, timeout=2.5)
+        assert len(readings) == 4  # gave up before the third row operation
+        monkeypatch.undo()
+        with pytest.raises(ResourceLimitExceeded):
+            certified_rank(m, timeout=0)
+
 
 class TestRankInvariants:
     def test_point_rank_bounded_by_generic_rank(self):

@@ -9,7 +9,7 @@ from thetagib.gib_checker import (
     DECIDED_BY_CERTIFIED_RANK,
     DECIDED_BY_REDUCED_SHAPE,
 )
-from thetagib.orbits import zero_orbit
+from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 
 
 class TestCheckOrbit:
@@ -106,6 +106,19 @@ class TestCheckRep:
         assert report.undecided_orbits
         assert report.rep_gib is None
 
+    def test_certification_time_limit_yields_undecided(self):
+        # as with the caps above: a certification given no time leaves the
+        # orbit undecided instead of mis-reporting it
+        report = check_rep(ThetaRep.of(3, 5), cert_timeout=0)
+        assert [p.to_text() for p in report.undecided_orbits] == ["3^1 3^1 1^0 1^1"]
+        assert report.rep_gib is None
+
+    @pytest.mark.parametrize("budget", [{"max_terms": -1}, {"cert_timeout": -1}])
+    def test_bad_budget_is_rejected_without_a_queued_certification(self, budget):
+        # (2,3,1) is decided by the cheap pass alone
+        with pytest.raises(ValueError):
+            check_rep(ThetaRep.of(2, 3, 1), **budget)
+
     def test_certification_cap_counts_attempts(self, monkeypatch):
         # a run that exceeds max_terms uses up the budget like a finished one
         import thetagib.index_engine as ie
@@ -127,3 +140,89 @@ class TestCheckRep:
         b = check_rep(ThetaRep.of(2, 2, 3), trials=6, seed=11)
         assert a.rep_gib == b.rep_gib
         assert [v.gib for v in a.verdicts] == [v.gib for v in b.verdicts]
+
+
+def _in_grading_shifts(rep: ThetaRep, orbit: LabeledPartition):
+    """Every nonzero label shift of ``orbit`` that stays inside ``rep``."""
+    for c in range(1, rep.m):
+        shifted = LabeledPartition(tuple((l, (t + c) % rep.m) for l, t in orbit.blocks))
+        if shifted.valid_for(rep):
+            yield c, shifted
+
+
+def _outcome(v):
+    return v.index_result.index, v.gib, v.dim_stabilizer, v.dim_module
+
+
+class TestShiftClasses:
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), (2, 3, 2, 3)])
+    def test_shifted_orbits_have_equal_verdicts(self, r):
+        rep = ThetaRep.of(*r)
+        resorted = 0
+        for orbit in all_nilpotent_orbits(rep):
+            base = _outcome(check_orbit(rep, orbit))
+            for c, shifted in _in_grading_shifts(rep, orbit):
+                plain = tuple((l, (t + c) % rep.m) for l, t in orbit.blocks)
+                resorted += plain != shifted.blocks
+                assert _outcome(check_orbit(rep, shifted)) == base, (orbit, shifted)
+        assert resorted > 0
+
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2)])
+    def test_check_rep_agrees_with_check_orbit(self, r):
+        rep = ThetaRep.of(*r)
+        report = cached_check_rep(r)
+        assert [v.orbit for v in report.verdicts] == all_nilpotent_orbits(rep)
+        for v in report.verdicts:
+            assert _outcome(v) == _outcome(check_orbit(rep, v.orbit)), v.orbit
+            if v.computed_as != v.orbit:
+                assert v.computed_as.sort_key() < v.orbit.sort_key()
+                assert v.computed_as in {s for _, s in _in_grading_shifts(rep, v.orbit)}
+
+    @pytest.mark.parametrize("r, calls", [((3, 3, 3), 66), ((2, 2, 2, 2), 43),
+                                          ((2, 3, 4), 105)])
+    def test_one_probabilistic_rank_per_class(self, monkeypatch, r, calls):
+        import thetagib.gib_checker as gc
+
+        counted = []
+
+        def prob(*a, **k):
+            counted.append(a)
+            return rank(*a, **k)
+
+        rank = gc.probabilistic_rank
+        monkeypatch.setattr(gc, "probabilistic_rank", prob)
+        report = check_rep(ThetaRep.of(*r))
+        assert len(counted) == calls
+        assert len({v.computed_as for v in report.verdicts}) == calls
+        if r == (2, 3, 4):  # no rotational symmetry: nothing is shared
+            assert calls == report.orbit_count
+            assert all(v.computed_as == v.orbit for v in report.verdicts)
+
+    def test_certify_all_certifies_each_class_once(self, monkeypatch):
+        import thetagib.index_engine as ie
+
+        counted = []
+
+        def certify(*a, **k):
+            counted.append(a)
+            return rank(*a, **k)
+
+        rank = ie.certified_rank
+        monkeypatch.setattr(ie, "certified_rank", certify)
+        # the time limit cuts the 18x18 eliminations near the zero orbit
+        # short; a cut attempt still counts, and its cheaper proof stands
+        report = check_rep(ThetaRep.of(3, 3, 3), certify_all=True, cert_timeout=0.05)
+        assert len(counted) == 66
+        certified = [v for v in report.verdicts if v.decided_by == DECIDED_BY_CERTIFIED_RANK]
+        assert len(certified) > report.orbit_count // 2
+        assert [v.gib for v in report.verdicts] == \
+            [v.gib for v in cached_check_rep((3, 3, 3)).verdicts]
+
+    def test_bad_orbits_of_333_share_one_certificate(self):
+        report = cached_check_rep((3, 3, 3))
+        bad = [v for v in report.verdicts if v.gib is False]
+        assert [str(v.orbit) for v in bad] == ["5^0 3^1 1^2", "5^1 3^2 1^0",
+                                               "5^2 3^0 1^1"]
+        assert {v.computed_as for v in bad} == {bad[0].orbit}
+        assert all(v.index_result is bad[0].index_result for v in bad)
+        assert bad[0].index_result.cert_rank is not None
