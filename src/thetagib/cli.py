@@ -31,7 +31,7 @@ from .index_engine import (
     index_of_matrix,
     parse_action_document,
 )
-from .orbits import all_nilpotent_orbits, orbit_dimension
+from .orbits import all_nilpotent_orbits
 from .theta_gl import (
     PatternFlags,
     ThetaRep,
@@ -335,13 +335,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_orbits(args) -> int:
     rep = ThetaRep.parse(args.rep)
     orbits = all_nilpotent_orbits(rep)
+    dim_g0 = rep.graded_dims()[0]
     records = []
     for orbit in orbits:
         cent = build_centralizer(orbit, rep.m)
+        dim_stabilizer = len(cent.by_degree[0])
         records.append({
             "orbit": orbit.to_text(),
-            "dim_orbit": orbit_dimension(orbit, rep),
-            "dim_stabilizer": len(cent.by_degree[0]),
+            "dim_orbit": dim_g0 - dim_stabilizer,
+            "dim_stabilizer": dim_stabilizer,
             "dim_module": len(cent.by_degree[rep.m - 1]),
         })
     if args.format == "json":

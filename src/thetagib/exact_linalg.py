@@ -37,24 +37,18 @@ independent rank computations can run in parallel without shared state.
 from __future__ import annotations
 
 import random
-from array import array
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import lcm
 from time import monotonic
 from typing import Mapping, Sequence
 
-try:
-    from ._modrank import rank_mod_p as _rank_mod_p
+#: The F_p rank runs in pure Python; the name stays because the benchmark
+#: worker records it with each run.
+USING_COMPILED_KERNEL = False
 
-    USING_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on the build environment
-    from ._modrank_py import rank_mod_p as _rank_mod_p
-
-    USING_COMPILED_KERNEL = False
-
-#: Evaluation field for randomized rank: 2**31 - 1 (prime), so products of
-#: reduced entries stay below 2**62 and fit machine words in the kernel.
+#: Evaluation field for randomized rank: the prime p = 2**31 - 1, at which a
+#: nonzero minor of degree d vanishes at a random point with probability <= d/p.
 EVAL_PRIME = 2147483647
 
 DEFAULT_TRIALS = 3
@@ -266,19 +260,39 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     An integer matrix reduced mod p can only lose rank, so this is a lower
     bound for the generic rank of M.
     """
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    flat = array("q", bytes(8 * M.rows * M.cols))
-    pos = 0
+    nrows, ncols = M.rows, M.cols
+    m = []
     for row in M.entries:
+        vals = []
         for e in row:
-            if e.coeffs:
-                v = 0
-                for k, c in e.coeffs.items():
-                    v += c * point[k]
-                flat[pos] = v % p
-            pos += 1
-    return _rank_mod_p(flat, M.rows, M.cols, p)
+            v = 0
+            for k, c in e.coeffs.items():
+                v += c * point[k]
+            vals.append(v % p)
+        m.append(vals)
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        inv = pow(prow[col], p - 2, p)
+        for r in range(rank + 1, nrows):
+            f = m[r][col]
+            if f:
+                f = f * inv % p
+                mr = m[r]
+                for c in range(col, ncols):
+                    mr[c] = (mr[c] - f * prow[c]) % p
+        rank += 1
+    return rank
 
 
 def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,

@@ -42,20 +42,24 @@ class ThetaRep:
 
     @classmethod
     def parse(cls, text: str) -> "ThetaRep":
-        """Parse ``"m=4 r=3,3,1,2"`` or the bare vector ``"3,3,1,2"``."""
-        text = text.strip()
-        m = None
-        rpart = text
-        if "=" in text:
-            fields = dict(tok.split("=", 1) for tok in text.split())
-            if "r" not in fields:
-                raise ValueError(f"cannot parse rep {text!r}")
-            rpart = fields["r"]
-            if "m" in fields:
-                m = int(fields["m"])
-        r = tuple(int(x) for x in rpart.split(","))
-        if m is None:
-            m = len(r)
+        """Parse ``"m=4 r=3,3,1,2"`` or the bare vector ``"3,3,1,2"``.
+
+        Any other text raises one ``ValueError`` that quotes it and names the
+        two accepted forms.
+        """
+        try:
+            if "=" in text:
+                tokens = text.split()
+                fields = dict(tok.split("=", 1) for tok in tokens)
+                if len(fields) != len(tokens) or not {"r"} <= fields.keys() <= {"m", "r"}:
+                    raise ValueError
+            else:
+                fields = {"r": text}
+            r = tuple(int(x) for x in fields["r"].split(","))
+            m = int(fields["m"]) if "m" in fields else len(r)
+        except ValueError:
+            raise ValueError(f'cannot parse grading {text!r}: expected '
+                             f'"3,3,1,2" or "m=4 r=3,3,1,2"') from None
         return cls(m, r)
 
     def to_text(self) -> str:

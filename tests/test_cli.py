@@ -113,6 +113,13 @@ class TestCheckCommand:
         assert code == 1
         assert "error" in err
 
+    def test_malformed_grading_names_the_accepted_forms(self, capsys):
+        code, out, err = run_cli(capsys, "check", "m=4 3,3")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: cannot parse grading 'm=4 3,3': expected "
+                       '"3,3,1,2" or "m=4 r=3,3,1,2"\n')
+
     def test_undecided_exit_code(self, capsys, monkeypatch):
         import thetagib.index_engine as ie
 
@@ -276,6 +283,24 @@ class TestOrbitsCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["orbit"] for r in rows} == {"3^1", "2^0 1^1", "2^1 1^1",
                                                "1^0 1^1 1^1"}
+
+    def test_one_centralizer_per_orbit(self, capsys, monkeypatch):
+        import thetagib.centralizer
+        import thetagib.cli
+        from thetagib.orbits import all_nilpotent_orbits
+
+        calls = []
+        build = thetagib.centralizer.build_centralizer
+
+        def counted(*a, **k):
+            calls.append(a)
+            return build(*a, **k)
+
+        monkeypatch.setattr(thetagib.centralizer, "build_centralizer", counted)
+        monkeypatch.setattr(thetagib.cli, "build_centralizer", counted)
+        code, _, _ = run_cli(capsys, "orbits", "3,3,2")
+        assert code == 0
+        assert len(calls) == len(all_nilpotent_orbits(ThetaRep.of(3, 3, 2)))
 
 
 class TestIndexFileCommand:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from helpers import minor_expansion_rank, random_matrix, sympy_field_rank, sympy_generic_rank
 from thetagib import (
@@ -18,7 +20,7 @@ from thetagib import (
     probabilistic_rank,
     scalar_rank,
 )
-from thetagib.exact_linalg import _cross, _div_heap, _packing, rank_at_point_mod
+from thetagib.exact_linalg import EVAL_PRIME, _cross, _div_heap, _packing, rank_at_point_mod
 
 
 def lf(**kw):
@@ -89,26 +91,27 @@ class TestProbabilisticRank:
             point = [rng.randint(0, 10**6) for _ in range(m.num_indeterminates)]
             assert rank_at_point_mod(m, point) == scalar_rank(m.evaluate(point))
 
-    def test_compiled_and_pure_kernels_agree(self):
-        from array import array
-
-        from thetagib.exact_linalg import EVAL_PRIME
-        from thetagib._modrank_py import rank_mod_p as rank_py
-
-        try:
-            from thetagib._modrank import rank_mod_p as rank_c
-        except ImportError:
-            pytest.skip("compiled kernel not built; fallback already in use")
+    def test_point_rank_matches_sympy_over_gf_p(self):
+        # reference: sympy's elimination over GF(EVAL_PRIME), one indeterminate
+        # evaluated at 1, so each coefficient is the entry itself
+        field = GF(EVAL_PRIME)
         rng = random.Random(42)
         for _ in range(20):
             nr = rng.randint(1, 12)
             nc = rng.randint(1, 12)
-            flat = array("q", [rng.randrange(EVAL_PRIME) for _ in range(nr * nc)])
-            if rng.random() < 0.5:  # force rank deficiency
-                for c in range(nc):
-                    if nr >= 2:
-                        flat[(nr - 1) * nc + c] = flat[c]
-            assert rank_c(flat, nr, nc, EVAL_PRIME) == rank_py(flat, nr, nc, EVAL_PRIME)
+            vals = [[rng.randrange(EVAL_PRIME) for _ in range(nc)] for _ in range(nr)]
+            if rng.random() < 0.5 and nr >= 2:  # force rank deficiency
+                vals[-1] = list(vals[0])
+            m = LinearFormMatrix([[LinearForm({0: v}) for v in row] for row in vals], 1)
+            expected = DomainMatrix([[field(v) for v in row] for row in vals],
+                                    (nr, nc), field).rank()
+            assert rank_at_point_mod(m, [1]) == expected
+
+    def test_point_rank_loses_rank_divisible_by_prime(self):
+        m = LinearFormMatrix([[lf(a1=1), LinearForm()],
+                              [LinearForm(), lf(a1=EVAL_PRIME)]], 1)
+        assert rank_at_point_mod(m, [1]) == 1
+        assert certified_rank(m) == 2
 
 
 class TestGroundFieldReduce:

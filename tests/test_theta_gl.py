@@ -41,6 +41,15 @@ class TestThetaRep:
         assert ThetaRep.parse("3,3,1,2") == rep
         assert ThetaRep.parse(rep.to_text()) == rep
 
+    @pytest.mark.parametrize("text", ["m=4 3,3", "3,,3", "r=3,3 m=x", "m=4",
+                                      "m=3 r=1,1,1 x"])
+    def test_parse_rejects_malformed_text(self, text):
+        with pytest.raises(ValueError) as info:
+            ThetaRep.parse(text)
+        message = str(info.value)
+        assert repr(text) in message
+        assert '"3,3,1,2"' in message and '"m=4 r=3,3,1,2"' in message
+
     def test_graded_dims_examples(self):
         assert ThetaRep.of(3, 3, 3).graded_dims() == (27, 27, 27)
         for a, b in [(1, 1), (2, 3), (4, 2)]:
