@@ -26,7 +26,6 @@ from .index_engine import (
     GenericActionError,
     IndexResult,
     build_action_matrix,
-    compute_index,
     export_action,
     index_of_matrix,
     parse_action_document,
@@ -35,7 +34,6 @@ from .orbits import (
     LabeledPartition,
     all_nilpotent_orbits,
     enumerate_orbits,
-    is_valid,
     orbit_dimension,
     zero_orbit,
 )
@@ -76,14 +74,12 @@ __all__ = [
     "certified_rank",
     "check_orbit",
     "check_rep",
-    "compute_index",
     "dual_rep",
     "enumerate_orbits",
     "export_action",
     "from_kac_diagram",
     "ground_field_reduce",
     "index_of_matrix",
-    "is_valid",
     "normalize_cyclic",
     "orbit_dimension",
     "parse_action_document",

@@ -185,25 +185,6 @@ def row_to_dict(row: ClassificationRow) -> dict:
     }
 
 
-def row_from_dict(doc: dict) -> ClassificationRow:
-    flags = PatternFlags(
-        has_cyclic_triple_ge2=doc["predicates"]["has_cyclic_triple_ge2"],
-        matches_theorem_m3_shape=doc["predicates"]["matches_theorem_m3_shape"],
-        matches_prop_1groups_1=doc["predicates"]["matches_prop_1groups_1"],
-    )
-    return ClassificationRow(
-        m=doc["m"],
-        r=tuple(doc["r"]),
-        rank=doc["rank"],
-        orbit_count=doc["orbit_count"],
-        rep_gib=doc["rep_gib"],
-        bad_orbits=tuple(doc["bad_orbits"]),
-        flags=flags,
-        prediction=doc["prediction"],
-        agreement=doc["agreement"],
-    )
-
-
 def emit_report(rows: list[ClassificationRow], fmt: str = "text") -> str:
     """Render sweep rows as text, json, or csv."""
     if fmt == "json":
@@ -410,8 +391,16 @@ def _cmd_index_file(args) -> int:
     return 2 if undecided else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, since exit 2 means undecided."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetagib",
         description="Good-index-behaviour checker for inner finite-order "
                     "gradings of gl_n.",

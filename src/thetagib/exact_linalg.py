@@ -88,9 +88,6 @@ class LinearForm:
                     clean[int(k)] = c
         self.coeffs = clean
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -18,7 +18,8 @@ for that index.  The per-orbit procedure:
      either way; if that blows the resource budget the orbit is UNDECIDED,
      never silently wrong.
 
-Steps 3-5 are ``index_engine.decide_index``, which ``index-file`` shares.
+Steps 3-4 are ``index_engine.cheap_proof`` and step 5 is
+``index_engine.certify``; ``index-file`` shares both.
 
 A whole grading has the property iff every orbit does.  The driver delays
 the expensive step 5, collecting suspicious orbits from the cheap pass and
@@ -53,7 +54,9 @@ from .index_engine import (  # the DECIDED_BY_* names are read from here too
     UNDECIDED,
     IndexResult,
     build_action_matrix,
-    decide_index,
+    certify,
+    cheap_proof,
+    validate_budget,
 )
 from .orbits import LabeledPartition, all_nilpotent_orbits
 from .theta_gl import ThetaRep
@@ -94,30 +97,20 @@ class GibReport:
         return tuple(v.orbit for v in self.verdicts if v.decided_by == UNDECIDED)
 
 
-def _verdict(orbit: LabeledPartition, computed_as: LabeledPartition, dim_stab: int,
-             result: IndexResult, rank: int) -> OrbitVerdict:
-    return OrbitVerdict(
-        orbit=orbit,
-        computed_as=computed_as,
-        dim_stabilizer=dim_stab,
-        index_result=result,
-        gib=None if result.decided_by == UNDECIDED else result.index == rank,
-    )
-
-
 def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
                 trials: int = DEFAULT_TRIALS, seed: int = 0,
                 force_certify: bool = False,
                 max_terms: int = DEFAULT_TERM_LIMIT) -> OrbitVerdict:
-    """Run the full per-orbit procedure on a single orbit."""
+    """Run the full per-orbit procedure on a single orbit.
+
+    ``force_certify`` certifies the orbit even when a cheaper proof holds,
+    as ``certify_all`` does in ``check_rep``.
+    """
+    validate_budget(max_terms, None)
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
-    rank = rep.rank()
-    cent = build_centralizer(orbit, rep.m)
-    matrix = build_action_matrix(cent)
-    result, _ = decide_index(matrix, probabilistic_rank(matrix, trials, seed), rank,
-                             force_certify=force_certify, max_terms=max_terms)
-    return _verdict(orbit, orbit, len(cent.by_degree[0]), result, rank)
+    return _verdicts(rep, [orbit], trials=trials, seed=seed, certify_all=force_certify,
+                     max_terms=max_terms, max_certifications=None, cert_timeout=None)[0]
 
 
 class _OrbitJob:
@@ -146,6 +139,47 @@ def _shift_class(orbit: LabeledPartition, m: int, period: int) -> tuple:
                for c in range(0, m, period))
 
 
+def _queue_key(job: _OrbitJob) -> tuple:
+    """Certify order: smallest reduced matrix first (unreduced if a bound match skipped it)."""
+    size = job.matrix if job.reduced is None else job.reduced
+    return size.rows * size.cols, job.orbit.sort_key()
+
+
+def _verdicts(rep: ThetaRep, orbits: list[LabeledPartition], *, trials: int, seed: int,
+              certify_all: bool, max_terms: int, max_certifications: int | None,
+              cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
+    """The verdicts of ``orbits``: a cheap pass per shift class, then the certify queue."""
+    rank = rep.rank()
+    period = _rotation_period(rep.r)
+    jobs: dict[tuple, _OrbitJob] = {}  # shift class -> its representative's job
+    members: list[tuple[LabeledPartition, _OrbitJob]] = []
+    for orbit in orbits:
+        key = _shift_class(orbit, rep.m, period)
+        job = jobs.get(key)
+        if job is None:
+            cent = build_centralizer(orbit, rep.m)
+            matrix = build_action_matrix(cent)
+            result, reduced = cheap_proof(matrix, probabilistic_rank(matrix, trials, seed),
+                                          rank)
+            job = jobs[key] = _OrbitJob(orbit, len(cent.by_degree[0]), matrix,
+                                        result, reduced)
+        members.append((orbit, job))
+
+    pending = sorted((j for j in jobs.values()
+                      if certify_all or j.result.decided_by == UNDECIDED),
+                     key=_queue_key)
+    if not certify_all and max_certifications is not None:
+        pending = pending[:max_certifications]
+    for job in pending:
+        job.result = certify(job.matrix, job.result, job.reduced, max_terms, cert_timeout)
+
+    return tuple(
+        OrbitVerdict(orbit=orbit, computed_as=j.orbit, dim_stabilizer=j.dim_stab,
+                     index_result=j.result,
+                     gib=None if j.result.decided_by == UNDECIDED else j.result.index == rank)
+        for orbit, j in members)
+
+
 def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
               certify_all: bool = False,
               max_terms: int = DEFAULT_TERM_LIMIT,
@@ -167,36 +201,10 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     bad-orbit list complete.  ``certify_all`` certifies every class and
     ignores the cap.
     """
-    rank = rep.rank()
-    period = _rotation_period(rep.r)
-    jobs: dict[tuple, _OrbitJob] = {}  # shift class -> its representative's job
-    members: list[tuple[LabeledPartition, _OrbitJob]] = []
-    for orbit in all_nilpotent_orbits(rep):
-        key = _shift_class(orbit, rep.m, period)
-        job = jobs.get(key)
-        if job is None:
-            cent = build_centralizer(orbit, rep.m)
-            matrix = build_action_matrix(cent)
-            result, reduced = decide_index(
-                matrix, probabilistic_rank(matrix, trials, seed), rank,
-                certify=False, force_certify=certify_all,
-                max_terms=max_terms, cert_timeout=cert_timeout)  # validated here
-            job = jobs[key] = _OrbitJob(orbit, len(cent.by_degree[0]), matrix,
-                                        result, reduced)
-        members.append((orbit, job))
-
-    pending = sorted((j for j in jobs.values()
-                      if certify_all or j.result.decided_by == UNDECIDED),
-                     key=lambda j: (j.reduced.rows * j.reduced.cols, j.orbit.sort_key()))
-    if not certify_all and max_certifications is not None:
-        pending = pending[:max_certifications]
-    for job in pending:
-        job.result, _ = decide_index(job.matrix, job.result.prob_rank, rank,
-                                     reduced=job.reduced, force_certify=certify_all,
-                                     max_terms=max_terms, cert_timeout=cert_timeout)
-
-    verdicts = tuple(_verdict(orbit, j.orbit, j.dim_stab, j.result, rank)
-                     for orbit, j in members)
+    validate_budget(max_terms, cert_timeout)
+    verdicts = _verdicts(rep, all_nilpotent_orbits(rep), trials=trials, seed=seed,
+                         certify_all=certify_all, max_terms=max_terms,
+                         max_certifications=max_certifications, cert_timeout=cert_timeout)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)
     if bad:
         rep_gib: bool | None = False
@@ -206,7 +214,7 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
         rep_gib = None
     return GibReport(
         rep=rep,
-        rank=rank,
+        rank=rep.rank(),
         orbit_count=len(verdicts),
         verdicts=verdicts,
         rep_gib=rep_gib,

@@ -31,7 +31,7 @@ from .exact_linalg import (
 )
 
 
-#: How a verdict was proven, cheapest first (see ``decide_index``).
+#: How a verdict was proven, cheapest first (see ``cheap_proof`` and ``certify``).
 DECIDED_BY_BOUND_MATCH = "probabilistic-bound-match"
 DECIDED_BY_REDUCED_SHAPE = "reduced-shape"
 DECIDED_BY_CERTIFIED_RANK = "certified-rank"
@@ -57,61 +57,64 @@ class IndexResult:
     decided_by: str
 
 
-def decide_index(matrix: LinearFormMatrix, prob: int, target: int | None, *,
-                 reduced: LinearFormMatrix | None = None, certify: bool = True,
-                 force_certify: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
-                 cert_timeout: float | None = None,
-                 ) -> tuple[IndexResult, LinearFormMatrix | None]:
-    """Prove the index of ``matrix``, given its probabilistic rank ``prob``.
+def validate_budget(max_terms: int, cert_timeout: float | None) -> None:
+    """Reject a certification budget that no run could keep to."""
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be >= 0, got {max_terms}")
+    if cert_timeout is not None and not cert_timeout >= 0:
+        raise ValueError(f"cert_timeout must be >= 0, got {cert_timeout}")
 
-    ``target`` is a lower bound for the index that the caller already has
-    (min(r) for an orbit, the declared rank for a document) or None.  The
-    proofs, in order of cost:
+
+def _index_result(dim: int, prob: int, cert: int | None, decided_by: str) -> IndexResult:
+    return IndexResult(dim_module=dim, prob_rank=prob, cert_rank=cert,
+                       index=dim - (prob if cert is None else cert),
+                       certified=cert is not None, decided_by=decided_by)
+
+
+def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
+                ) -> tuple[IndexResult, LinearFormMatrix | None]:
+    """Prove the index of ``matrix`` without symbolic elimination, if possible.
+
+    ``prob`` is the probabilistic rank of ``matrix``; ``target`` is a lower
+    bound for the index that the caller already has (min(r) for an orbit,
+    the declared rank for a document) or None.  The proofs, cheapest first:
 
       1. bound match: dim - prob is an upper bound for the index, so if it
          equals ``target`` the index is ``target``;
       2. reduced shape: the generic rank is at most either side of
          ``ground_field_reduce(matrix)`` and at least prob, so prob equal to
-         a side pins the rank;
-      3. certified rank of the reduced matrix, run only when ``certify``;
-      4. if certification is not run, or exceeds ``max_terms`` terms or
-         ``cert_timeout`` seconds (None: no limit), whichever of 1 and 2
-         held, else ``UNDECIDED``.
+         a side pins the rank.
 
-    ``force_certify`` skips straight to step 3, keeping 1 and 2 for step 4.
-    Returns the result and the reduced matrix (None when step 1 decided);
-    a caller that ran without ``certify`` passes the latter back as
-    ``reduced`` to resume at step 3.
+    Returns the result, ``UNDECIDED`` when neither holds, and the reduced
+    matrix, or None when step 1 decided without reducing.
     """
-    if max_terms < 0:
-        raise ValueError(f"max_terms must be >= 0, got {max_terms}")
-    if cert_timeout is not None and not cert_timeout >= 0:
-        raise ValueError(f"cert_timeout must be >= 0, got {cert_timeout}")
     dim = matrix.cols
-    proof: tuple[int | None, str] | None = None  # (exact rank, decided_by)
     if target is not None and dim - prob == target:
-        proof = (None, DECIDED_BY_BOUND_MATCH)
-    if proof is None or force_certify:
-        if reduced is None:
-            reduced = ground_field_reduce(matrix)
-        if proof is None and prob in (reduced.rows, reduced.cols):
-            proof = (prob, DECIDED_BY_REDUCED_SHAPE)
-        if certify and (proof is None or force_certify):
-            try:
-                proof = (certified_rank(reduced, max_terms, cert_timeout),
+        return _index_result(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
+    reduced = ground_field_reduce(matrix)
+    if prob in (reduced.rows, reduced.cols):
+        return _index_result(dim, prob, prob, DECIDED_BY_REDUCED_SHAPE), reduced
+    return _index_result(dim, prob, None, UNDECIDED), reduced
+
+
+def certify(matrix: LinearFormMatrix, result: IndexResult,
+            reduced: LinearFormMatrix | None, max_terms: int,
+            cert_timeout: float | None) -> IndexResult:
+    """The certified rank of ``matrix``, after ``cheap_proof`` gave ``result``.
+
+    ``reduced`` is the reduction ``cheap_proof`` returned; None reduces here.
+    A certification that exceeds ``max_terms`` terms or ``cert_timeout``
+    seconds (None: no limit) returns ``result`` unchanged, so whichever
+    cheaper proof held stands, or ``UNDECIDED``.
+    """
+    if reduced is None:
+        reduced = ground_field_reduce(matrix)
+    try:
+        cert = certified_rank(reduced, max_terms, cert_timeout)
+    except ResourceLimitExceeded:
+        return result  # the cheaper proofs stay valid when elimination is abandoned
+    return _index_result(result.dim_module, result.prob_rank, cert,
                          DECIDED_BY_CERTIFIED_RANK)
-            except ResourceLimitExceeded:
-                pass  # the cheaper proofs stay valid when elimination is abandoned
-    cert, decided_by = proof or (None, UNDECIDED)
-    result = IndexResult(
-        dim_module=dim,
-        prob_rank=prob,
-        cert_rank=cert,
-        index=dim - (prob if cert is None else cert),
-        certified=cert is not None,
-        decided_by=decided_by,
-    )
-    return result, reduced
 
 
 def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
@@ -135,7 +138,7 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
                     force_certify: bool = False,
                     max_terms: int = DEFAULT_TERM_LIMIT,
                     cert_timeout: float | None = None) -> IndexResult:
-    """Index of the action encoded by ``matrix``, proven by ``decide_index``.
+    """Index of the action encoded by ``matrix``: ``cheap_proof``, then ``certify``.
 
     ``target`` is the declared index, if any; a rank that disagrees with it
     is certified before it is reported.  Without a target only
@@ -143,22 +146,11 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
     its resource budget leaves whatever cheaper proof held, or
     ``UNDECIDED``, rather than failing the computation.
     """
-    prob = probabilistic_rank(matrix, trials, seed)
-    return decide_index(matrix, prob, target,
-                        certify=force_certify or target is not None,
-                        force_certify=force_certify, max_terms=max_terms,
-                        cert_timeout=cert_timeout)[0]
-
-
-def compute_index(cent: GradedCentralizer, *, trials: int = DEFAULT_TRIALS,
-                  seed: int = 0, force_certify: bool = False,
-                  max_terms: int = DEFAULT_TERM_LIMIT) -> IndexResult:
-    """Index of the degree-0 action on the degree-(m-1) part of ``cent``."""
-    return index_of_matrix(
-        build_action_matrix(cent),
-        trials=trials, seed=seed, force_certify=force_certify,
-        max_terms=max_terms,
-    )
+    validate_budget(max_terms, cert_timeout)
+    result, reduced = cheap_proof(matrix, probabilistic_rank(matrix, trials, seed), target)
+    if force_certify or (target is not None and result.decided_by == UNDECIDED):
+        result = certify(matrix, result, reduced, max_terms, cert_timeout)
+    return result
 
 
 # ---------------------------------------------------------------------------

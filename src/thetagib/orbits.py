@@ -84,10 +84,6 @@ class LabeledPartition:
         return self.to_text()
 
 
-def is_valid(partition: LabeledPartition, rep: ThetaRep) -> bool:
-    return partition.valid_for(rep)
-
-
 def _block_usage(length: int, label: int, m: int) -> list[int]:
     use = [length // m] * m
     for j in range(length % m):

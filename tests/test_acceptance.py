@@ -15,7 +15,6 @@ from thetagib import (
     build_centralizer,
     check_orbit,
     check_rep,
-    compute_index,
     enumerate_orbits,
     export_action,
     index_of_matrix,

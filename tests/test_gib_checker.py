@@ -54,6 +54,29 @@ class TestCheckOrbit:
         assert v.index_result.cert_rank == 1
         assert v.gib is False
 
+    @pytest.mark.parametrize("r, orbit, decided_by, gib", [
+        ((3, 3, 3), None, DECIDED_BY_BOUND_MATCH, True),
+        ((3, 3, 3), "5^0 3^1 1^2", DECIDED_BY_REDUCED_SHAPE, False),
+    ])
+    def test_blown_forced_certification_keeps_the_cheaper_proof(
+            self, monkeypatch, r, orbit, decided_by, gib):
+        import thetagib.index_engine as ie
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return certify(*a, **k)
+
+        certify = ie.certified_rank
+        monkeypatch.setattr(ie, "certified_rank", counted)
+        rep = ThetaRep.of(*r)
+        part = zero_orbit(rep) if orbit is None else LabeledPartition.parse(orbit)
+        v = check_orbit(rep, part, force_certify=True, max_terms=0)
+        assert len(calls) == 1  # attempted, and abandoned at the first term
+        assert v.decided_by == decided_by
+        assert v.gib is gib
+
 
 class TestCheckRep:
     def test_224_and_231_are_good(self):
@@ -217,6 +240,41 @@ class TestShiftClasses:
         assert len(certified) > report.orbit_count // 2
         assert [v.gib for v in report.verdicts] == \
             [v.gib for v in cached_check_rep((3, 3, 3)).verdicts]
+
+    @pytest.mark.parametrize("certify_all", [False, True])
+    def test_reductions_are_neither_skipped_nor_repeated(self, monkeypatch, certify_all):
+        # the cheap pass reduces a class unless its bound matched, and the
+        # certify step reuses that reduction or makes the one it lacks
+        import thetagib.gib_checker as gc
+        import thetagib.index_engine as ie
+
+        built, reduced = [], []
+
+        def build(*a, **k):
+            built.append(matrix(*a, **k))
+            return built[-1]
+
+        def reduce(m):
+            reduced.append(m)
+            return ground(m)
+
+        matrix, ground = gc.build_action_matrix, ie.ground_field_reduce
+        monkeypatch.setattr(gc, "build_action_matrix", build)
+        monkeypatch.setattr(ie, "ground_field_reduce", reduce)
+        report = check_rep(ThetaRep.of(3, 3, 3), certify_all=certify_all,
+                           cert_timeout=0.05 if certify_all else None)
+        reps = {v.computed_as: v for v in report.verdicts if v.computed_as == v.orbit}
+        assert len(built) == len(reps) == 66
+        times = [sum(r is m for r in reduced) for m in built]
+        if certify_all:
+            assert times == [1] * 66
+        else:
+            # classes are built in canonical order, as their representatives
+            matched = [reps[o].decided_by == DECIDED_BY_BOUND_MATCH for o in sorted(
+                reps, key=lambda o: o.sort_key())]
+            assert 0 < sum(matched) < 66
+            assert times == [0 if bound else 1 for bound in matched]
+        assert len(reduced) == sum(times)
 
     def test_bad_orbits_of_333_share_one_certificate(self):
         report = cached_check_rep((3, 3, 3))

@@ -10,7 +10,6 @@ from thetagib import (
     ThetaRep,
     dual_rep,
     enumerate_orbits,
-    is_valid,
     normalize_cyclic,
     orbit_dimension,
 )
@@ -19,17 +18,17 @@ from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 
 class TestValidity:
     def test_worked_examples(self):
-        assert is_valid(LabeledPartition(((5, 0), (3, 1), (1, 2))), ThetaRep.of(3, 3, 3))
-        assert is_valid(LabeledPartition(((5, 0), (3, 0))), ThetaRep.of(3, 3, 2))
-        assert is_valid(LabeledPartition(((5, 0), (3, 1))), ThetaRep.of(3, 3, 2))
-        assert is_valid(LabeledPartition(((9, 0),)), ThetaRep.of(3, 3, 3))
+        assert LabeledPartition(((5, 0), (3, 1), (1, 2))).valid_for(ThetaRep.of(3, 3, 3))
+        assert LabeledPartition(((5, 0), (3, 0))).valid_for(ThetaRep.of(3, 3, 2))
+        assert LabeledPartition(((5, 0), (3, 1))).valid_for(ThetaRep.of(3, 3, 2))
+        assert LabeledPartition(((9, 0),)).valid_for(ThetaRep.of(3, 3, 3))
 
     def test_wrong_counts_rejected(self):
         # (5,1) uses residues (1,2,2); together with (3,1) the counts are
         # (2,3,3), not (3,3,2)
-        assert not is_valid(LabeledPartition(((5, 1), (3, 1))), ThetaRep.of(3, 3, 2))
-        assert not is_valid(LabeledPartition(((5, 0),)), ThetaRep.of(3, 3, 3))
-        assert not is_valid(LabeledPartition(((2, 5),)), ThetaRep.of(1, 1))
+        assert not LabeledPartition(((5, 1), (3, 1))).valid_for(ThetaRep.of(3, 3, 2))
+        assert not LabeledPartition(((5, 0),)).valid_for(ThetaRep.of(3, 3, 3))
+        assert not LabeledPartition(((2, 5),)).valid_for(ThetaRep.of(1, 1))
 
     def test_canonical_storage(self):
         p = LabeledPartition(((1, 2), (5, 0), (3, 1)))
