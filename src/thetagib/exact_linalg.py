@@ -470,8 +470,8 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
                  deadline: float | None) -> int:
     """Fraction-free elimination with sparsest-pivot selection.
 
-    ``deadline`` is a ``time.monotonic`` value checked before each row
-    operation, or None for no limit.
+    ``deadline`` is a ``time.monotonic`` value checked before each cell
+    is computed, or None for no limit.
     """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
@@ -496,11 +496,11 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
         pivot_row = grid[r]
         piv = pivot_row[r]
         for i in range(r + 1, nrows):
-            if deadline is not None and monotonic() >= deadline:
-                raise ResourceLimitExceeded("certification passed its time limit")
             row = grid[i]
             left = row[r]
             for j in range(r + 1, ncols):
+                if deadline is not None and monotonic() >= deadline:
+                    raise ResourceLimitExceeded("certification passed its time limit")
                 cell = _cross(row[j], piv, left, pivot_row[j], max_terms)
                 if prev is not None:
                     cell = _div_heap(cell, prev, guard)
@@ -524,7 +524,7 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     polynomial ring Z[a], the matrix rows having integer coefficients.  Raises
     ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
     ``max_terms``, or when ``timeout`` seconds (None: no limit) have passed
-    at the start of a row operation; the caller decides what "too expensive"
+    before a cell is computed; the caller decides what "too expensive"
     means for its verdict.
     """
     deadline = None if timeout is None else monotonic() + timeout

@@ -16,10 +16,14 @@ for that index.  The per-orbit procedure:
      proven FALSE;
   5. otherwise certify the rank by fraction-free elimination, which decides
      either way; if that blows the resource budget the orbit is UNDECIDED,
-     never silently wrong.
+     never silently wrong.  The elimination runs on a linear slice through
+     the dual module that meets every generic orbit of the stabilizer
+     (``index_engine.slice_rank``), in index + 1 indeterminates instead of
+     dim V.
 
 Steps 3-4 are ``index_engine.cheap_proof`` and step 5 is
-``index_engine.certify``; ``index-file`` shares both.
+``index_engine.certify``; ``index-file`` shares both, but certifies over
+all indeterminates, since a document need not come from a group action.
 
 A whole grading has the property iff every orbit does.  The driver delays
 the expensive step 5, collecting suspicious orbits from the cheap pass and
@@ -56,6 +60,7 @@ from .index_engine import (  # the DECIDED_BY_* names are read from here too
     build_action_matrix,
     certify,
     cheap_proof,
+    slice_rank,
     validate_budget,
 )
 from .orbits import LabeledPartition, all_nilpotent_orbits
@@ -100,17 +105,20 @@ class GibReport:
 def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
                 trials: int = DEFAULT_TRIALS, seed: int = 0,
                 force_certify: bool = False,
-                max_terms: int = DEFAULT_TERM_LIMIT) -> OrbitVerdict:
+                max_terms: int = DEFAULT_TERM_LIMIT,
+                cert_timeout: float | None = None) -> OrbitVerdict:
     """Run the full per-orbit procedure on a single orbit.
 
     ``force_certify`` certifies the orbit even when a cheaper proof holds,
-    as ``certify_all`` does in ``check_rep``.
+    as ``certify_all`` does in ``check_rep``.  ``max_terms`` and
+    ``cert_timeout`` bound the certification as in ``check_rep``.
     """
-    validate_budget(max_terms, None)
+    validate_budget(max_terms, cert_timeout)
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
     return _verdicts(rep, [orbit], trials=trials, seed=seed, certify_all=force_certify,
-                     max_terms=max_terms, max_certifications=None, cert_timeout=None)[0]
+                     max_terms=max_terms, max_certifications=None,
+                     cert_timeout=cert_timeout)[0]
 
 
 class _OrbitJob:
@@ -171,7 +179,8 @@ def _verdicts(rep: ThetaRep, orbits: list[LabeledPartition], *, trials: int, see
     if not certify_all and max_certifications is not None:
         pending = pending[:max_certifications]
     for job in pending:
-        job.result = certify(job.matrix, job.result, job.reduced, max_terms, cert_timeout)
+        job.result = certify(job.matrix, job.result, job.reduced, max_terms, cert_timeout,
+                             slice_rank)
 
     return tuple(
         OrbitVerdict(orbit=orbit, computed_as=j.orbit, dim_stabilizer=j.dim_stab,

@@ -15,8 +15,12 @@ raw structure constants; both reduce to the same rank machinery.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from time import monotonic
+from typing import Callable, Sequence
 
 from .centralizer import GradedCentralizer
 from .exact_linalg import (
@@ -25,9 +29,11 @@ from .exact_linalg import (
     LinearForm,
     LinearFormMatrix,
     ResourceLimitExceeded,
+    _independent_indices,
     certified_rank,
     ground_field_reduce,
     probabilistic_rank,
+    rank_at_point_mod,
 )
 
 
@@ -99,22 +105,124 @@ def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
 
 def certify(matrix: LinearFormMatrix, result: IndexResult,
             reduced: LinearFormMatrix | None, max_terms: int,
-            cert_timeout: float | None) -> IndexResult:
+            cert_timeout: float | None,
+            rank: Callable[[LinearFormMatrix, LinearFormMatrix, int, float | None], int]
+            | None = None) -> IndexResult:
     """The certified rank of ``matrix``, after ``cheap_proof`` gave ``result``.
 
     ``reduced`` is the reduction ``cheap_proof`` returned; None reduces here.
-    A certification that exceeds ``max_terms`` terms or ``cert_timeout``
-    seconds (None: no limit) returns ``result`` unchanged, so whichever
-    cheaper proof held stands, or ``UNDECIDED``.
+    ``rank(matrix, reduced, max_terms, timeout)`` certifies the rank; None
+    runs ``certified_rank`` on ``reduced``.  A certification that exceeds
+    ``max_terms`` terms or ``cert_timeout`` seconds (None: no limit)
+    returns ``result`` unchanged, so whichever cheaper proof held stands,
+    or ``UNDECIDED``.  A certified rank below ``result.prob_rank``, itself
+    a lower bound, contradicts the proof and raises ``RuntimeError``.
+
+    The orbit driver passes ``slice_rank``, which certifies on a linear
+    slice through V* in index + 1 indeterminates instead of s.  Let Q be
+    the connected group with Lie algebra q acting on V*.  The rank at a
+    point xi is dim q.xi, so it is constant on Q-orbits.  Pick an integer
+    point xi0: the rows of ``matrix`` at xi0 span q.xi0 in Q^s, and unit
+    vectors e_J completing them to Q^s give a map Q x span(xi0, e_J) -> V*
+    whose differential at (1, xi0) is onto, so the map is dominant.  Its
+    image meets the dense open set where the rank is generic, and a
+    Q-orbit through that set meets the slice, so the generic rank on the
+    slice equals the generic rank on V*.  ``ground_field_reduce`` keeps
+    only Q-linear relations among rows and columns, which survive the
+    substitution, so the slice is applied to ``reduced``.
+    ``index_of_matrix`` (and so ``index-file``) keeps the plain routine: a
+    document need not come from a Lie algebra action, and without one the
+    rank need not be constant along any orbits.
     """
     if reduced is None:
         reduced = ground_field_reduce(matrix)
     try:
-        cert = certified_rank(reduced, max_terms, cert_timeout)
+        if rank is None:
+            cert = certified_rank(reduced, max_terms, cert_timeout)
+        else:
+            cert = rank(matrix, reduced, max_terms, cert_timeout)
     except ResourceLimitExceeded:
         return result  # the cheaper proofs stay valid when elimination is abandoned
+    if cert < result.prob_rank:
+        raise RuntimeError(f"certified rank {cert} is below the probabilistic rank "
+                           f"{result.prob_rank}, a lower bound for it")
     return _index_result(result.dim_module, result.prob_rank, cert,
                          DECIDED_BY_CERTIFIED_RANK)
+
+
+#: Base-point entries of a slice attempt lie in [-SLICE_POINT_RANGE, SLICE_POINT_RANGE].
+SLICE_POINT_RANGE = 2
+#: Term budget of the first slice attempt; each further attempt doubles it.
+SLICE_FIRST_TERMS = 256
+
+
+def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
+                      point: Sequence[int]) -> LinearFormMatrix:
+    """``reduced`` restricted to span(``point``, e_J), in |J| + 1 indeterminates.
+
+    ``matrix`` is an action matrix: its columns are the s coordinates of
+    V*, numbered like its indeterminates, so its rows at ``point`` span
+    q.point.  J is picked by one ``_independent_indices`` call so that the
+    unit vectors e_J complete them to Q^s.  The indeterminate a_k becomes
+    b_t for the t-th index k of J, and point[k] * b_0 for k outside J;
+    these are coordinates of span(point, e_J), sparser than
+    b_0 * point + sum_t b_t * e_(j_t).  Raises ``ValueError`` unless the
+    rows at ``point`` and e_J have rank s, which is checked apart from how
+    J was picked: the columns outside J must have full rank at ``point``.
+    """
+    s = matrix.cols
+    if matrix.num_indeterminates != s:
+        raise ValueError("an action matrix has one indeterminate per column")
+    at_point = [{j: v for j, e in enumerate(row)
+                 if (v := sum(c * point[k] for k, c in e.coeffs.items()))}
+                for row in matrix.entries]
+    n = len(at_point)
+    chosen = _independent_indices(at_point + [{k: 1} for k in range(s)])
+    complement = [i - n for i in chosen if i >= n]  # J
+    var = {k: t for t, k in enumerate(complement, 1)}  # a_k -> b_t for k in J
+    rest = [j for j in range(s) if j not in var]
+    # a rank over F_p is at most the rank over Q, which is at most len(rest)
+    if rank_at_point_mod(matrix.permuted(range(n), rest), point) != len(rest):
+        raise ValueError("the unit vectors do not complete the orbit tangent to Q^s")
+    grid = []
+    for row in reduced.entries:
+        sliced = []
+        for e in row:
+            coeffs = {0: sum(c * point[k] for k, c in e.coeffs.items() if k not in var)}
+            coeffs.update((var[k], c) for k, c in e.coeffs.items() if k in var)
+            sliced.append(LinearForm(coeffs))
+        grid.append(sliced)
+    return LinearFormMatrix(grid, len(var) + 1, cols=reduced.cols)
+
+
+def slice_rank(matrix: LinearFormMatrix, reduced: LinearFormMatrix, max_terms: int,
+               timeout: float | None) -> int:
+    """Generic rank of ``reduced`` certified on a ``transversal_slice``.
+
+    The time to certify depends on the base point, so points race: attempt
+    k slices through a point with entries in [-2, 2] drawn from
+    ``random.Random(k)`` and has a budget of 256 * 2**k terms, capped at
+    ``max_terms``.  Every attempt is a proof (see ``certify``), so the first
+    to finish is the rank, whatever the base point.  One ``timeout`` covers
+    all attempts.  Raises ``ResourceLimitExceeded`` once the attempt at
+    ``max_terms`` fails or the time is up.
+    """
+    deadline = None if timeout is None else monotonic() + timeout
+    for attempt in count():
+        budget = min(SLICE_FIRST_TERMS << attempt, max_terms)
+        left = None
+        if deadline is not None:
+            left = deadline - monotonic()
+            if left <= 0:
+                raise ResourceLimitExceeded("certification passed its time limit")
+        rng = random.Random(attempt)
+        point = [rng.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE)
+                 for _ in range(matrix.cols)]
+        try:
+            return certified_rank(transversal_slice(matrix, reduced, point), budget, left)
+        except ResourceLimitExceeded:
+            if budget == max_terms:
+                raise
 
 
 def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:

@@ -1,6 +1,7 @@
 """Exact linear algebra: evaluation, reduction, probabilistic and certified rank."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,9 +225,9 @@ class TestCertifiedRank:
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, max_terms=2)
 
-    def test_time_limit_is_checked_before_each_row_operation(self, monkeypatch):
-        # a clock that ticks once per reading: the 6x6 elimination makes
-        # 5 + 4 + 3 + 2 + 1 = 15 row operations, and the limit is read
+    def test_time_limit_is_checked_before_each_cell(self, monkeypatch):
+        # a clock that ticks once per reading: the 6x6 elimination computes
+        # 5*5 + 4*4 + 3*3 + 2*2 + 1*1 = 55 cells, and the limit is read
         # before each of them
         import thetagib.exact_linalg as el
 
@@ -241,15 +242,27 @@ class TestCertifiedRank:
             return readings[-1]
 
         monkeypatch.setattr(el, "monotonic", clock)
-        assert certified_rank(m, timeout=16) == 6
-        assert len(readings) == 16  # the start, then one per row operation
+        assert certified_rank(m, timeout=56) == 6
+        assert len(readings) == 56  # the start, then one per cell
         readings.clear()
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, timeout=2.5)
-        assert len(readings) == 4  # gave up before the third row operation
+        assert len(readings) == 4  # gave up before the third cell
         monkeypatch.undo()
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, timeout=0)
+
+    def test_time_limit_holds_within_a_row_operation(self):
+        # the reduced 17x18 (3,3,3) matrix of this orbit runs far past 1.5 s,
+        # and its row operations are long enough that a deadline read only
+        # before each of them overshot by up to 2.5 s
+        cent = build_centralizer(LabeledPartition.parse("2^0 2^0 2^0 1^2 1^2 1^2"), 3)
+        m = ground_field_reduce(build_action_matrix(cent))
+        assert (m.rows, m.cols) == (17, 18)
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitExceeded):
+            certified_rank(m, timeout=1.5)
+        assert time.monotonic() - start < 2.25
 
 
 class TestRankInvariants:

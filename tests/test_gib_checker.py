@@ -77,6 +77,23 @@ class TestCheckOrbit:
         assert v.decided_by == decided_by
         assert v.gib is gib
 
+    @pytest.mark.parametrize("r, orbit, decided_by, gib", [
+        ((3, 3, 3), None, DECIDED_BY_BOUND_MATCH, True),
+        ((3, 3, 3), "5^0 3^1 1^2", DECIDED_BY_REDUCED_SHAPE, False),
+    ])
+    def test_certification_given_no_time_keeps_the_cheaper_proof(
+            self, r, orbit, decided_by, gib):
+        rep = ThetaRep.of(*r)
+        part = zero_orbit(rep) if orbit is None else LabeledPartition.parse(orbit)
+        v = check_orbit(rep, part, force_certify=True, cert_timeout=0)
+        assert v.decided_by == decided_by
+        assert v.gib is gib
+
+    def test_negative_cert_timeout_is_rejected(self):
+        rep = ThetaRep.of(3, 3, 3)
+        with pytest.raises(ValueError, match="cert_timeout"):
+            check_orbit(rep, zero_orbit(rep), cert_timeout=-1)
+
 
 class TestCheckRep:
     def test_224_and_231_are_good(self):
@@ -157,6 +174,17 @@ class TestCheckRep:
         report = check_rep(ThetaRep.of(3, 3, 3, 1), max_terms=0, max_certifications=1)
         assert len(calls) == 1
         assert report.undecided_orbits
+
+    def test_certify_all_certifies_every_orbit(self):
+        # each shift class is certified on a transversal slice; over all s
+        # indeterminates, the class of 2^0 2^0 2^0 1^2 1^2 1^2 alone ran
+        # for minutes
+        report = check_rep(ThetaRep.of(3, 3, 3), certify_all=True)
+        assert len(report.verdicts) == 192
+        assert {v.decided_by for v in report.verdicts} == {DECIDED_BY_CERTIFIED_RANK}
+        cheap = cached_check_rep((3, 3, 3))
+        assert [(v.orbit, v.gib, v.index_result.index) for v in report.verdicts] == \
+            [(v.orbit, v.gib, v.index_result.index) for v in cheap.verdicts]
 
     def test_verdicts_independent_of_trials(self):
         a = check_rep(ThetaRep.of(2, 2, 3), trials=1, seed=5)

@@ -13,12 +13,14 @@ from thetagib import (
     build_action_matrix,
     build_centralizer,
     certified_rank,
+    check_orbit,
     export_action,
     index_of_matrix,
     parse_action_document,
     scalar_rank,
 )
-from thetagib.index_engine import DECIDED_BY_REDUCED_SHAPE
+from thetagib.exact_linalg import ResourceLimitExceeded, ground_field_reduce
+from thetagib.index_engine import DECIDED_BY_REDUCED_SHAPE, slice_rank, transversal_slice
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 
 
@@ -114,6 +116,92 @@ class TestComputeIndex:
             rng.shuffle(rows)
             rng.shuffle(cols)
             assert certified_rank(mat.permuted(rows, cols)) == base
+
+
+#: The four orbits of the benchmark's certify workload.
+CERTIFY_ORBITS = [
+    ((4, 4, 5), "4^2 2^1 2^2 1^0 1^0 1^1 1^1 1^2"),
+    ((5, 5, 5), "4^0 4^0 2^1 2^1 2^2 1^1"),
+    ((5, 5, 5), "4^0 4^0 3^2 2^1 1^1 1^2"),
+    ((4, 4, 5), "4^2 4^2 1^0 1^0 1^1 1^1 1^2"),
+]
+
+
+def _orbit_matrices(r, orbit):
+    m = build_action_matrix(build_centralizer(LabeledPartition.parse(orbit), len(r)))
+    return m, ground_field_reduce(m)
+
+
+class TestTransversalSlice:
+    @pytest.mark.parametrize("r, orbit", CERTIFY_ORBITS)
+    def test_slice_and_plain_ranks_agree(self, r, orbit):
+        m, reduced = _orbit_matrices(r, orbit)
+        assert slice_rank(m, reduced, 10**6, None) == certified_rank(reduced)
+
+    def test_slice_has_index_plus_one_indeterminates(self):
+        m, reduced = _orbit_matrices(*CERTIFY_ORBITS[0])
+        rng = random.Random(0)
+        sliced = transversal_slice(m, reduced, [rng.randint(-2, 2) for _ in range(m.cols)])
+        assert m.cols == 25 and sliced.num_indeterminates == 25 - 20 + 1
+        assert (sliced.rows, sliced.cols) == (reduced.rows, reduced.cols)
+
+    def test_incomplete_complement_is_refused(self, monkeypatch):
+        # dropping one unit vector from the complement leaves the span short
+        # of Q^s; the slice must notice it by its own check and refuse
+        import thetagib.index_engine as ie
+
+        picked = ie._independent_indices
+        monkeypatch.setattr(ie, "_independent_indices", lambda vs: picked(vs)[:-1])
+        rep = ThetaRep.of(3, 3, 3)
+        orbit = LabeledPartition.parse("2^0 2^0 2^0 1^2 1^2 1^2")
+        m, reduced = _orbit_matrices((3, 3, 3), orbit.to_text())
+        with pytest.raises(ValueError, match="complete"):
+            transversal_slice(m, reduced, [1] * m.cols)
+        with pytest.raises(ValueError, match="complete"):
+            check_orbit(rep, orbit, force_certify=True)
+
+    def test_rank_below_the_probabilistic_rank_is_never_reported(self, monkeypatch):
+        import thetagib.index_engine as ie
+
+        monkeypatch.setattr(ie, "certified_rank", lambda m, *a: 0)
+        rep = ThetaRep.of(3, 3, 3)
+        with pytest.raises(RuntimeError, match="below the probabilistic rank"):
+            check_orbit(rep, LabeledPartition.parse("5^0 3^1 1^2"), force_certify=True)
+
+    def test_attempts_double_their_budget_under_one_deadline(self, monkeypatch):
+        import thetagib.index_engine as ie
+
+        calls = []
+
+        def blown(matrix, max_terms, timeout):
+            calls.append((matrix.num_indeterminates, max_terms, timeout))
+            raise ResourceLimitExceeded("blown")
+
+        monkeypatch.setattr(ie, "certified_rank", blown)
+        m, reduced = _orbit_matrices(*CERTIFY_ORBITS[0])
+        with pytest.raises(ResourceLimitExceeded):
+            slice_rank(m, reduced, 1000, 60.0)
+        assert [terms for _, terms, _ in calls] == [256, 512, 1000]
+        left = [timeout for _, _, timeout in calls]
+        assert 60.0 >= left[0] > left[1] > left[2] > 0  # one deadline, read per attempt
+        assert all(s < m.cols for s, _, _ in calls)  # every attempt is on a slice
+
+    def test_documents_certify_over_all_indeterminates(self, monkeypatch):
+        # a document need not come from a group action, so index_of_matrix
+        # (and index-file) must not certify on a slice
+        import thetagib.index_engine as ie
+
+        seen = []
+
+        def recorded(matrix, *a):
+            seen.append(matrix.num_indeterminates)
+            return certify(matrix, *a)
+
+        certify = ie.certified_rank
+        monkeypatch.setattr(ie, "certified_rank", recorded)
+        m, _ = _orbit_matrices((3, 3, 3), "5^0 3^1 1^2")
+        assert index_of_matrix(m, force_certify=True).index == 4
+        assert seen == [m.cols]
 
 
 class TestGenericDocuments:
