@@ -13,7 +13,6 @@ from .centralizer import GradedCentralizer, XiElement, build_centralizer
 from .exact_linalg import (
     EVAL_PRIME,
     USING_COMPILED_KERNEL,
-    LinearForm,
     LinearFormMatrix,
     ResourceLimitExceeded,
     certified_rank,
@@ -60,7 +59,6 @@ __all__ = [
     "IndexResult",
     "KacDiagram",
     "LabeledPartition",
-    "LinearForm",
     "LinearFormMatrix",
     "OrbitVerdict",
     "PatternFlags",

@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats):
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                        help="random evaluation points per rank bound")
         p.add_argument("--seed", type=int, default=0,
@@ -423,12 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abandon an exact symbolic rank after this many "
                             "seconds, with the same outcome as --max-terms "
                             "(default: no limit)")
-        p.add_argument("--format", choices=["text", "json", "csv"],
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
 
     p_check = sub.add_parser("check", help="decide one grading")
     p_check.add_argument("rep", help='multiplicity vector, e.g. "3,3,1,2" or "m=4 r=3,3,1,2"')
-    common(p_check)
+    common(p_check, ["text", "json", "csv"])
     p_check.set_defaults(func=_cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="classify a range of gradings")
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="do not identify cyclic rotations")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes (at least 1)")
-    common(p_sweep)
+    common(p_sweep, ["text", "json", "csv"])
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_orbits = sub.add_parser("orbits", help="list nilpotent orbits")
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index-file",
                              help="index of a structure-constant JSON document")
     p_index.add_argument("path")
-    common(p_index)
+    common(p_index, ["text", "json"])
     p_index.set_defaults(func=_cmd_index_file)
 
     return parser

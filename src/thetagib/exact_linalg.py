@@ -1,7 +1,8 @@
 """Exact linear algebra over Q and over the rational function field Q(a_1..a_s).
 
 The central object is a matrix whose entries are homogeneous linear forms in
-indeterminates a_1, ..., a_s.  Its *generic rank* (the rank over the function
+indeterminates a_1, ..., a_s, each a dict from an indeterminate's 0-based
+index to its coefficient.  Its *generic rank* (the rank over the function
 field) is what index computations consume.  Scaling a row by a nonzero
 constant keeps that rank, so a matrix stores every row with its denominators
 cleared: all coefficients are ints, and each routine below reads them as
@@ -30,8 +31,9 @@ all guard bits, a monomial d divides e exactly when
 its guard bit away, and no borrow crosses into the next field.  Exact
 division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
 
-All values are immutable after construction; every routine here is pure, so
-independent rank computations can run in parallel without shared state.
+Matrices share their entries, and no routine modifies an entry or a
+matrix; every routine here is pure, so independent rank computations can
+run in parallel without shared state.
 """
 
 from __future__ import annotations
@@ -68,102 +70,24 @@ def _as_rational(x) -> Fraction:
     return Fraction(x)
 
 
-class LinearForm:
-    """Homogeneous linear form sum_k c_k * a_k with rational coefficients.
-
-    Indeterminates are indexed from 0; display names are 1-based (``a1``).
-    Zero coefficients are never stored; int coefficients stay ints, any
-    other becomes a Fraction.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, object] | None = None):
-        clean = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(c, int):
-                    c = Fraction(c)
-                if c:
-                    clean[int(k)] = c
-        self.coeffs = clean
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        res = LinearForm.__new__(LinearForm)
-        res.coeffs = out
-        return res
-
-    def __neg__(self) -> "LinearForm":
-        res = LinearForm.__new__(LinearForm)
-        res.coeffs = {k: -c for k, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def scaled(self, c) -> "LinearForm":
-        if not isinstance(c, int):
-            c = Fraction(c)
-        if not c:
-            return LinearForm()
-        res = LinearForm.__new__(LinearForm)
-        res.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        return res
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        total = Fraction(0)
-        for k, c in self.coeffs.items():
-            total += c * _as_rational(point[k])
-        return total
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            name = f"a{k + 1}"
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-
 class LinearFormMatrix:
-    """rows x cols matrix of ``LinearForm`` entries in s indeterminates.
+    """rows x cols matrix of homogeneous linear forms in s indeterminates.
 
-    The constructor stores each row multiplied by the lcm of its coefficient
-    denominators, so every stored coefficient is an int: ``[[a1/2, a2/3]]``
-    is kept as ``[[3*a1, 2*a2]]``.  Row scaling keeps the generic rank, and
-    the rank layers then run over Z without rescaling.
+    Each entry is a dict ``{k: c_k}`` for sum_k c_k * a_(k+1): indeterminates
+    are numbered from 0, and a zero coefficient is never stored, so ``{}`` is
+    the zero form.  The constructor takes any mappings with int or Fraction
+    coefficients and stores each row multiplied by the lcm of its
+    denominators, so every stored coefficient is an int: ``[[{0: 1/2},
+    {1: 1/3}]]`` is kept as ``[[{0: 3}, {1: 2}]]``.  Row scaling keeps the
+    generic rank, and the rank layers then run over Z without rescaling.
+    A row that needs no change keeps its entries, which matrices therefore
+    share; no routine modifies an entry.
     """
 
     __slots__ = ("rows", "cols", "num_indeterminates", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[LinearForm]], num_indeterminates: int,
-                 cols: int | None = None):
+    def __init__(self, entries: Sequence[Sequence[Mapping[int, int | Fraction]]],
+                 num_indeterminates: int, cols: int | None = None):
         rows = len(entries)
         if rows:
             cols = len(entries[0])
@@ -173,19 +97,21 @@ class LinearFormMatrix:
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            scale = 0  # lcm of the row's denominators; 0 while all are ints
+            # lcm of the row's denominators; clean while every coefficient
+            # is a nonzero int, so that the row can be kept as it is
+            scale, clean = 1, True
             for e in row:
-                for k, c in e.coeffs.items():
+                for k, c in e.items():
                     if not 0 <= k < num_indeterminates:
                         raise ValueError(
                             f"indeterminate index {k} out of range "
                             f"(s={num_indeterminates})"
                         )
-                    if type(c) is not int:
-                        scale = lcm(scale or 1, c.denominator)
-            if scale:
-                row = [LinearForm({k: int(c * scale) for k, c in e.coeffs.items()})
-                       for e in row]
+                    if type(c) is not int or not c:
+                        scale = lcm(scale, c.denominator)
+                        clean = False
+            if not clean:
+                row = [{k: int(c * scale) for k, c in e.items() if c} for e in row]
             grid.append(tuple(row))
         self.rows = rows
         self.cols = cols
@@ -199,7 +125,8 @@ class LinearFormMatrix:
                 f"point has length {len(point)}, expected {self.num_indeterminates}"
             )
         pt = [_as_rational(x) for x in point]
-        return [[e.evaluate(pt) for e in row] for row in self.entries]
+        return [[sum((c * pt[k] for k, c in e.items()), Fraction(0)) for e in row]
+                for row in self.entries]
 
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "LinearFormMatrix":
         grid = [[self.entries[i][j] for j in col_order] for i in row_order]
@@ -263,7 +190,7 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
         vals = []
         for e in row:
             v = 0
-            for k, c in e.coeffs.items():
+            for k, c in e.items():
                 v += c * point[k]
             vals.append(v % p)
         m.append(vals)
@@ -352,10 +279,10 @@ def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
     return keep
 
 
-def _row_vector(row: Sequence[LinearForm], s: int) -> dict[int, int]:
+def _row_vector(row: Sequence[dict[int, int]], s: int) -> dict[int, int]:
     vec = {}
     for j, e in enumerate(row):
-        for k, c in e.coeffs.items():
+        for k, c in e.items():
             vec[j * s + k] = c
     return vec
 
@@ -376,7 +303,7 @@ def ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
     for j in range(M.cols):
         vec = {}
         for i, row in enumerate(kept_rows):
-            for k, c in row[j].coeffs.items():
+            for k, c in row[j].items():
                 vec[i * s + k] = c
         col_vectors.append(vec)
     col_keep = _independent_indices(col_vectors)
@@ -535,6 +462,6 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     # at step r every cell is homogeneous of degree r + 1, so no numerator
     # formed before a division has degree above 2 * min(rows, cols)
     width, guard = _packing(s, 2 * min(reduced.rows, reduced.cols))
-    grid = [[{1 << ((s - 1 - k) * width): c for k, c in e.coeffs.items()} for e in row]
+    grid = [[{1 << ((s - 1 - k) * width): c for k, c in e.items()} for e in row]
             for row in reduced.entries]
     return _bareiss_rank(grid, guard, max_terms, deadline)

@@ -26,7 +26,6 @@ from .centralizer import GradedCentralizer
 from .exact_linalg import (
     DEFAULT_TERM_LIMIT,
     DEFAULT_TRIALS,
-    LinearForm,
     LinearFormMatrix,
     ResourceLimitExceeded,
     _independent_indices,
@@ -174,7 +173,7 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     if matrix.num_indeterminates != s:
         raise ValueError("an action matrix has one indeterminate per column")
     at_point = [{j: v for j, e in enumerate(row)
-                 if (v := sum(c * point[k] for k, c in e.coeffs.items()))}
+                 if (v := sum(c * point[k] for k, c in e.items()))}
                 for row in matrix.entries]
     n = len(at_point)
     chosen = _independent_indices(at_point + [{k: 1} for k in range(s)])
@@ -188,9 +187,9 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     for row in reduced.entries:
         sliced = []
         for e in row:
-            coeffs = {0: sum(c * point[k] for k, c in e.coeffs.items() if k not in var)}
-            coeffs.update((var[k], c) for k, c in e.coeffs.items() if k in var)
-            sliced.append(LinearForm(coeffs))
+            coeffs = {0: sum(c * point[k] for k, c in e.items() if k not in var)}
+            coeffs.update((var[k], c) for k, c in e.items() if k in var)
+            sliced.append(coeffs)
         grid.append(sliced)
     return LinearFormMatrix(grid, len(var) + 1, cols=reduced.cols)
 
@@ -235,10 +234,9 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     tensor = cent.action_structure_constants()
     nrows = len(cent.by_degree[0])
     ncols = len(cent.by_degree[cent.m - 1])
-    grid = [[LinearForm() for _ in range(ncols)] for _ in range(nrows)]
-    for (i, j), row in tensor.items():
-        grid[i][j] = LinearForm(row)
-    return LinearFormMatrix(grid, ncols)
+    zero: dict[int, int] = {}  # every empty cell shares it; entries are never modified
+    return LinearFormMatrix([[tensor.get((i, j), zero) for j in range(ncols)]
+                             for i in range(nrows)], ncols)
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
@@ -316,8 +314,7 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
             raise GenericActionError(f"{where}: zero denominator")
         entry = coeffs.setdefault((i, j), {})
         entry[k] = entry.get(k, Fraction(0)) + Fraction(num, den)
-    grid = [[LinearForm(coeffs.get((i, j), {})) for j in range(dim_v)]
-            for i in range(dim_q)]
+    grid = [[coeffs.get((i, j), {}) for j in range(dim_v)] for i in range(dim_q)]
     declared = None
     if "rank" in doc:
         declared = _require_int(doc, "rank")

@@ -136,7 +136,7 @@ def _sympy_matrix(matrix: LinearFormMatrix) -> sympy.Matrix:
 
     def entry(i, j):
         total = sympy.Integer(0)
-        for k, c in matrix.entries[i][j].coeffs.items():
+        for k, c in matrix.entries[i][j].items():
             total += sympy.Rational(c.numerator, c.denominator) * syms[k]
         return total
 
@@ -168,7 +168,7 @@ def minor_expansion_rank(matrix: LinearFormMatrix) -> int:
     syms = sympy.symbols(f"a0:{max(s, 1)}")
     rows = [
         [sum((sympy.Rational(c.numerator, c.denominator) * syms[k]
-              for k, c in e.coeffs.items()), sympy.Integer(0))
+              for k, c in e.items()), sympy.Integer(0))
          for e in row]
         for row in matrix.entries
     ]
@@ -195,8 +195,6 @@ def minor_expansion_rank(matrix: LinearFormMatrix) -> int:
 
 
 def random_matrix(rng, max_rows=6, max_cols=6, max_vars=4) -> LinearFormMatrix:
-    from thetagib.exact_linalg import LinearForm
-
     rows = rng.randint(1, max_rows)
     cols = rng.randint(1, max_cols)
     s = rng.randint(1, max_vars)
@@ -211,6 +209,6 @@ def random_matrix(rng, max_rows=6, max_cols=6, max_vars=4) -> LinearFormMatrix:
                     den = rng.choice((1, 1, 1, 2, 3))
                     if num:
                         coeffs[k] = Fraction(num, den)
-            row.append(LinearForm(coeffs))
+            row.append(coeffs)
         grid.append(row)
     return LinearFormMatrix(grid, s)

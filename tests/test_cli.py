@@ -139,6 +139,7 @@ class TestUsage:
         (["frobnicate"], 1),
         (["--help"], 0),
         (["check", "--help"], 0),
+        (["index-file", "doc.json", "--format", "csv"], 1),
     ])
     def test_usage_error_exits_one_and_help_zero(self, capsys, argv, code):
         # argparse exits 2 by default, which here means an undecided verdict

@@ -11,7 +11,6 @@ from sympy.polys.matrices import DomainMatrix
 from helpers import minor_expansion_rank, random_matrix, sympy_field_rank, sympy_generic_rank
 from thetagib import (
     LabeledPartition,
-    LinearForm,
     LinearFormMatrix,
     ResourceLimitExceeded,
     build_action_matrix,
@@ -25,8 +24,9 @@ from thetagib.exact_linalg import EVAL_PRIME, _cross, _div_heap, _packing, rank_
 
 
 def lf(**kw):
-    # lf(a1=2, a2=3) -> 2*a1 + 3*a2 (names are 1-based, storage 0-based)
-    return LinearForm({int(k[1:]) - 1: v for k, v in kw.items()})
+    # lf(a1=2, a2=3) -> {0: 2, 1: 3}, the entry 2*a1 + 3*a2 (names are
+    # 1-based, storage 0-based)
+    return {int(k[1:]) - 1: v for k, v in kw.items()}
 
 
 def matrix_332_orbit():
@@ -63,7 +63,7 @@ class TestEvaluate:
 
 class TestProbabilisticRank:
     def test_zero_matrix(self):
-        m = LinearFormMatrix([[LinearForm(), LinearForm()]], 2)
+        m = LinearFormMatrix([[{}, {}]], 2)
         assert probabilistic_rank(m, 5, seed=1) == 0
 
     def test_single_nonzero_form(self):
@@ -103,14 +103,14 @@ class TestProbabilisticRank:
             vals = [[rng.randrange(EVAL_PRIME) for _ in range(nc)] for _ in range(nr)]
             if rng.random() < 0.5 and nr >= 2:  # force rank deficiency
                 vals[-1] = list(vals[0])
-            m = LinearFormMatrix([[LinearForm({0: v}) for v in row] for row in vals], 1)
+            m = LinearFormMatrix([[{0: v} for v in row] for row in vals], 1)
             expected = DomainMatrix([[field(v) for v in row] for row in vals],
                                     (nr, nc), field).rank()
             assert rank_at_point_mod(m, [1]) == expected
 
     def test_point_rank_loses_rank_divisible_by_prime(self):
-        m = LinearFormMatrix([[lf(a1=1), LinearForm()],
-                              [LinearForm(), lf(a1=EVAL_PRIME)]], 1)
+        m = LinearFormMatrix([[lf(a1=1), {}],
+                              [{}, lf(a1=EVAL_PRIME)]], 1)
         assert rank_at_point_mod(m, [1]) == 1
         assert certified_rank(m) == 2
 
@@ -124,8 +124,8 @@ class TestGroundFieldReduce:
         assert red.entries[0] == tuple(row)
 
     def test_proportional_rows_merge(self):
-        m = LinearFormMatrix([[lf(a1=1), LinearForm()],
-                              [lf(a1=2), LinearForm()]], 1)
+        m = LinearFormMatrix([[lf(a1=1), {}],
+                              [lf(a1=2), {}]], 1)
         red = ground_field_reduce(m)
         assert (red.rows, red.cols) == (1, 1)
         assert red.entries[0][0] == lf(a1=1)
@@ -139,10 +139,12 @@ class TestGroundFieldReduce:
         assert m.rows == 5
         nonzero_rows = [row for row in m.entries if any(row)]
         assert len(nonzero_rows) == 3  # torus only
-        total = nonzero_rows[0]
-        for row in nonzero_rows[1:]:
-            total = tuple(a + b for a, b in zip(total, row))
-        assert not any(total)
+        total = {}  # (column, indeterminate) -> coefficient of the row sum
+        for row in nonzero_rows:
+            for j, e in enumerate(row):
+                for k, c in e.items():
+                    total[j, k] = total.get((j, k), 0) + c
+        assert total and not any(total.values())
         red = ground_field_reduce(m)
         assert red.rows == 2
         assert red.cols == 4
@@ -197,10 +199,11 @@ class TestCertifiedRank:
                 cases.append(m)
         for n in (5, 7):
             s = rng.randint(2, 3)
-            upper = {(i, j): LinearForm({k: rng.randint(-3, 3) for k in range(s)})
+            upper = {(i, j): {k: rng.randint(-3, 3) for k in range(s)}
                      for i in range(n) for j in range(i + 1, n)}
+            lower = {(i, j): {k: -c for k, c in e.items()} for (j, i), e in upper.items()}
             cases.append(LinearFormMatrix(
-                [[upper[i, j] if i < j else -upper[j, i] if i > j else LinearForm()
+                [[upper[i, j] if i < j else lower[i, j] if i > j else {}
                   for j in range(n)] for i in range(n)], s))
         for m in cases:
             assert certified_rank(m) == sympy_field_rank(m)
@@ -213,13 +216,13 @@ class TestCertifiedRank:
         # 2*min(rows, cols) = 24 that sets the packed field width, and past
         # what a field one bit narrower holds
         n = 12
-        grid = [[lf(a1=1) if i == j or i == 0 else LinearForm() for j in range(n)]
+        grid = [[lf(a1=1) if i == j or i == 0 else {} for j in range(n)]
                 for i in range(n)]
         assert certified_rank(LinearFormMatrix(grid, 1)) == n
 
     def test_resource_limit_is_catchable(self):
         rng = random.Random(4)
-        grid = [[LinearForm({k: rng.randint(1, 9) for k in range(6)})
+        grid = [[{k: rng.randint(1, 9) for k in range(6)}
                  for _ in range(6)] for _ in range(6)]
         m = LinearFormMatrix(grid, 6)
         with pytest.raises(ResourceLimitExceeded):
@@ -232,7 +235,7 @@ class TestCertifiedRank:
         import thetagib.exact_linalg as el
 
         rng = random.Random(4)
-        grid = [[LinearForm({k: rng.randint(1, 9) for k in range(6)})
+        grid = [[{k: rng.randint(1, 9) for k in range(6)}
                  for _ in range(6)] for _ in range(6)]
         m = LinearFormMatrix(grid, 6)
         readings = []
@@ -296,7 +299,7 @@ class TestRankInvariants:
             # scale whole rows (a row operation), not individual entries
             factors = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
                        for _ in range(m.rows)]
-            scaled = [[e.scaled(factors[i]) for e in row]
+            scaled = [[{k: c * factors[i] for k, c in e.items()} for e in row]
                       for i, row in enumerate(m.entries)]
             assert certified_rank(LinearFormMatrix(scaled, m.num_indeterminates)) == cert
 
@@ -304,12 +307,12 @@ class TestRankInvariants:
 class TestIntegerRows:
     def test_fraction_row_is_stored_with_denominators_cleared(self):
         m = LinearFormMatrix([[lf(a1=Fraction(1, 2)), lf(a2=Fraction(1, 3))]], 2)
-        assert [e.coeffs for e in m.entries[0]] == [{0: 3}, {1: 2}]
-        assert all(type(c) is int for e in m.entries[0] for c in e.coeffs.values())
+        assert list(m.entries[0]) == [{0: 3}, {1: 2}]
+        assert all(type(c) is int for e in m.entries[0] for c in e.values())
 
     def test_action_matrix_coefficients_are_ints(self):
         m = matrix_332_orbit()
-        coeffs = [c for row in m.entries for e in row for c in e.coeffs.values()]
+        coeffs = [c for row in m.entries for e in row for c in e.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
 
     def test_large_coefficients_stay_exact(self):
@@ -323,7 +326,17 @@ class TestIntegerRows:
 
     def test_negative_indeterminate_index_is_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            LinearFormMatrix([[LinearForm({-1: 1}), LinearForm({0: 1})]], 2)
+            LinearFormMatrix([[{-1: 1}, {0: 1}]], 2)
+
+    def test_zero_coefficients_are_never_stored(self):
+        # a stored zero would be a nonzero Bareiss pivot and an independent
+        # row to ground_field_reduce
+        m = LinearFormMatrix([[{0: 0, 1: 2}, {0: 0}]], 2)
+        assert m.entries == (({1: 2}, {}),)
+        zero = LinearFormMatrix([[{0: 0}]], 1)
+        assert certified_rank(zero) == 0
+        assert probabilistic_rank(zero) == 0
+        assert ground_field_reduce(zero).rows == 0
 
 
 def packed(terms, s, width):

@@ -47,7 +47,7 @@ class TestBuildActionMatrix:
             mat = build_action_matrix(cent)
             assert (mat.rows, mat.cols) == (m_order, m_order)
             for row in mat.entries:
-                coeffs = sorted(c for e in row for c in e.coeffs.values())
+                coeffs = sorted(c for e in row for c in e.values())
                 assert coeffs == [-1, 1]
 
 
@@ -260,8 +260,8 @@ class TestGenericDocuments:
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [1, 1, 1, 1, 3]]}
         mat, _ = parse_action_document(doc)
         # repeated (i, j, k) entries accumulate: 1/2 + 1/2 = 1
-        assert mat.entries[0][0].coeffs == {0: 1}
-        assert str(mat.entries[1][1]) == "a2"  # 1/3*a2, its row scaled by 3
+        assert mat.entries[0][0] == {0: 1}
+        assert mat.entries[1][1] == {1: 1}  # 1/3*a2, its row scaled by 3
 
     def test_parsed_rows_have_integer_coefficients(self):
         # row 0 is (1/2 + 1/2)*a1, a2: without accumulation it would be
@@ -270,10 +270,14 @@ class TestGenericDocuments:
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [0, 1, 1, 1, 1],
                             [1, 0, 1, 2, 3], [1, 1, 0, -5, 6]]}
         mat, _ = parse_action_document(doc)
-        assert [e.coeffs for e in mat.entries[0]] == [{0: 1}, {1: 1}]
-        assert [e.coeffs for e in mat.entries[1]] == [{1: 4}, {0: -5}]
+        assert list(mat.entries[0]) == [{0: 1}, {1: 1}]
+        assert list(mat.entries[1]) == [{1: 4}, {0: -5}]
         assert all(type(c) is int
-                   for row in mat.entries for e in row for c in e.coeffs.values())
+                   for row in mat.entries for e in row for c in e.values())
+        # 1/2 - 1/2 accumulates to a zero coefficient, which is not stored
+        mat, _ = parse_action_document(
+            {"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, -1, 2]]})
+        assert mat.entries[0][0] == {}
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"dim_v": 1}, "dim_q"),
