@@ -114,29 +114,47 @@ class GradedCentralizer:
         """Brackets of the degree-0 basis against the degree-(m-1) basis.
 
         Returns N with N[(i, j)][k] = coefficient of v_k in [x_i, v_j],
-        where x runs over ``by_degree[0]`` and v over ``by_degree[m-1]``.
-        Grading forces every bracket back into degree m-1; anything else is
-        a bug, not an input error.
+        where x runs over ``by_degree[0]`` and v over ``by_degree[m-1]``;
+        a pair whose bracket is zero has no key.  By the commutator rule,
+        [x, v] = delta(v.j, x.i) xi_(v.i)^(x.j, x.s+v.s)
+        - delta(x.j, v.i) xi_(x.i)^(v.j, x.s+v.s), so only the v with
+        v.j == x.i or v.i == x.j are visited.  Grading forces every bracket
+        back into degree m-1; anything else is a bug, not an input error.
         """
         acting = self.by_degree[0]
         module = self.by_degree[self.m - 1]
-        col = {v: k for k, v in enumerate(module)}
+        col = {(v.i, v.j, v.s): k for k, v in enumerate(module)}
+        by_j: dict[int, list[tuple[int, XiElement]]] = {}
+        by_i: dict[int, list[tuple[int, XiElement]]] = {}
+        for k, v in enumerate(module):
+            by_j.setdefault(v.j, []).append((k, v))
+            by_i.setdefault(v.i, []).append((k, v))
         tensor: dict[tuple[int, int], dict[int, int]] = {}
-        for i, x in enumerate(acting):
-            for j, v in enumerate(module):
-                terms = self.bracket(x, v)
-                if not terms:
-                    continue
-                row: dict[int, int] = {}
-                for z, c in terms.items():
-                    k = col.get(z)
-                    if k is None:
-                        raise RuntimeError(
-                            f"grading violation: [{x}, {v}] contains {z} "
-                            f"of degree {self.degree(z)}"
-                        )
-                    row[k] = c
-                tensor[(i, j)] = row
+        for row, x in enumerate(acting):
+            # (column, v, z.i, z.j, sign) of each term, + terms first as in ``bracket``
+            terms = [(j, v, v.i, x.j, 1) for j, v in by_j.get(x.i, ())]
+            terms += [(j, v, x.i, v.j, -1) for j, v in by_i.get(x.j, ())]
+            cells: dict[int, dict[int, int]] = {}
+            for j, v, zi, zj, sign in terms:
+                s = x.s + v.s
+                k = col.get((zi, zj, s))
+                if k is None:
+                    if not self.in_range(zi, zj, s):
+                        continue  # an out-of-range symbol is zero
+                    z = XiElement(zi, zj, s)
+                    raise RuntimeError(
+                        f"grading violation: [{x}, {v}] contains {z} "
+                        f"of degree {self.degree(z)}"
+                    )
+                entry = cells.setdefault(j, {})
+                c = entry.get(k, 0) + sign
+                if c:
+                    entry[k] = c
+                else:
+                    del entry[k]
+            for j, entry in cells.items():
+                if entry:
+                    tensor[(row, j)] = entry
         return tensor
 
     def describe(self) -> str:

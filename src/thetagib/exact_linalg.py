@@ -177,13 +177,29 @@ def scalar_rank(matrix: Sequence[Sequence]) -> int:
 # Probabilistic rank.
 
 
+def _rank_limit(M: LinearFormMatrix, ceiling: int | None) -> int:
+    """min(rows, cols, ceiling): the highest rank an elimination of M need find."""
+    if ceiling is None:
+        return min(M.rows, M.cols)
+    if ceiling < 0:
+        raise ValueError(f"ceiling must be >= 0, got {ceiling}")
+    return min(M.rows, M.cols, ceiling)
+
+
 def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
-                      p: int = EVAL_PRIME) -> int:
+                      p: int = EVAL_PRIME, ceiling: int | None = None) -> int:
     """Rank over F_p of M evaluated at an integer point (reduced mod p).
 
     An integer matrix reduced mod p can only lose rank, so this is a lower
-    bound for the generic rank of M.
+    bound for the generic rank of M.  ``ceiling``, if given, must be a
+    proven upper bound for the generic rank: the elimination stops once its
+    rank reaches it, which then is the rank at the point.  Only a caller
+    that has such a proof may pass one (the orbit driver has dim - min(r));
+    a wrong ceiling caps the result silently.
     """
+    limit = _rank_limit(M, ceiling)
+    if limit == 0:
+        return 0
     nrows, ncols = M.rows, M.cols
     m = []
     for row in M.entries:
@@ -196,8 +212,6 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
         m.append(vals)
     rank = 0
     for col in range(ncols):
-        if rank == nrows:
-            break
         piv = None
         for r in range(rank, nrows):
             if m[r][col]:
@@ -207,37 +221,43 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
             continue
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
-        inv = pow(prow[col], p - 2, p)
-        for r in range(rank + 1, nrows):
+        rank += 1
+        if rank == limit:
+            break
+        inv = pow(prow[col], -1, p)
+        for r in range(rank, nrows):
             f = m[r][col]
             if f:
                 f = f * inv % p
                 mr = m[r]
                 for c in range(col, ncols):
                     mr[c] = (mr[c] - f * prow[c]) % p
-        rank += 1
     return rank
 
 
 def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
-                       seed: int = 0) -> int:
+                       seed: int = 0, ceiling: int | None = None) -> int:
     """Best rank of M over F_p at ``trials`` independent random points.
 
     Always a lower bound for the generic rank; equal to it unless every
     trial point hits the zero set of a top-size minor.  Deterministic for a
-    fixed seed.
+    fixed seed.  The trials stop early once one reaches min(rows, cols) or
+    ``ceiling``, a proven upper bound for the generic rank that only a
+    caller with a proof may pass (see ``rank_at_point_mod``).  No point
+    rank exceeds the generic rank, so a true ceiling changes no result:
+    it only skips trials and eliminations that could not raise it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if M.rows == 0 or M.cols == 0:
+    limit = _rank_limit(M, ceiling)
+    if limit == 0:
         return 0
     rng = random.Random(seed)
     s = M.num_indeterminates
     best = 0
-    limit = min(M.rows, M.cols)
     for _ in range(trials):
         point = [rng.randrange(EVAL_PRIME) for _ in range(s)]
-        best = max(best, rank_at_point_mod(M, point, EVAL_PRIME))
+        best = max(best, rank_at_point_mod(M, point, EVAL_PRIME, ceiling))
         if best == limit:
             break
     return best
@@ -328,8 +348,13 @@ def _packing(nvars: int, max_degree: int) -> tuple[int, int]:
     return width, sum(1 << (k * width + width - 1) for k in range(nvars))
 
 
-def _cross(a: dict, piv: dict, left: dict, b: dict, cap: int) -> dict[int, int]:
-    """a*piv - left*b, aborting once the accumulated terms pass ``cap``."""
+def _cross(a: dict, piv: dict, left: dict, b: dict, cap: int,
+           deadline: float | None = None) -> dict[int, int]:
+    """a*piv - left*b, aborting once the accumulated terms pass ``cap``.
+
+    ``deadline`` (a ``time.monotonic`` value, or None) is read with the
+    term cap, after the products of each term of ``a`` and ``left``.
+    """
     out: dict[int, int] = {}
     get = out.get
     for x, y, sign in ((a, piv, 1), (left, b, -1)):
@@ -341,10 +366,13 @@ def _cross(a: dict, piv: dict, left: dict, b: dict, cap: int) -> dict[int, int]:
             if len(out) > cap:
                 raise ResourceLimitExceeded(
                     f"intermediate polynomial passed {cap} terms during a product")
+            if deadline is not None and monotonic() >= deadline:
+                raise ResourceLimitExceeded("certification passed its time limit")
     return {e: c for e, c in out.items() if c}
 
 
-def _div_heap(num: dict, divisor: dict, guard: int) -> dict[int, int]:
+def _div_heap(num: dict, divisor: dict, guard: int,
+              deadline: float | None = None) -> dict[int, int]:
     """num / divisor over Z[a]; ``ArithmeticError`` unless it is exact.
 
     Heap division after Monagan & Pearce: the dividend is read in
@@ -352,6 +380,8 @@ def _div_heap(num: dict, divisor: dict, guard: int) -> dict[int, int]:
     quotient terms found so far with the divisor's non-leading terms, one
     pending product per quotient term, so the next monomial to cancel is
     always at the top instead of being searched for in a remainder.
+    ``deadline`` (a ``time.monotonic`` value, or None) is read once per
+    quotient term.
     """
     g = sorted(divisor.items(), reverse=True)
     lead_e, lead_c = g[0]
@@ -386,6 +416,8 @@ def _div_heap(num: dict, divisor: dict, guard: int) -> dict[int, int]:
         q, rem = divmod(c, lead_c)
         if rem or ((e | guard) - lead_e) & guard != guard:
             raise ArithmeticError("inexact polynomial division")
+        if deadline is not None and monotonic() >= deadline:
+            raise ResourceLimitExceeded("certification passed its time limit")
         qe = e - lead_e
         if rest:
             heappush(heap, (-(qe + rest[0][0]), len(quot), 0))
@@ -398,7 +430,7 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
     """Fraction-free elimination with sparsest-pivot selection.
 
     ``deadline`` is a ``time.monotonic`` value checked before each cell
-    is computed, or None for no limit.
+    is computed and within its product and division, or None for no limit.
     """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
@@ -428,9 +460,9 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
             for j in range(r + 1, ncols):
                 if deadline is not None and monotonic() >= deadline:
                     raise ResourceLimitExceeded("certification passed its time limit")
-                cell = _cross(row[j], piv, left, pivot_row[j], max_terms)
+                cell = _cross(row[j], piv, left, pivot_row[j], max_terms, deadline)
                 if prev is not None:
-                    cell = _div_heap(cell, prev, guard)
+                    cell = _div_heap(cell, prev, guard, deadline)
                 if len(cell) > max_terms:
                     raise ResourceLimitExceeded(
                         f"intermediate polynomial has {len(cell)} terms "
@@ -450,9 +482,10 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     Applies ``ground_field_reduce`` first, then Bareiss elimination over the
     polynomial ring Z[a], the matrix rows having integer coefficients.  Raises
     ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
-    ``max_terms``, or when ``timeout`` seconds (None: no limit) have passed
-    before a cell is computed; the caller decides what "too expensive"
-    means for its verdict.
+    ``max_terms``, or when ``timeout`` seconds (None: no limit) have passed;
+    the time is read before each cell, after each term of a product and
+    after each quotient term of a division.  The caller decides what "too
+    expensive" means for its verdict.
     """
     deadline = None if timeout is None else monotonic() + timeout
     reduced = ground_field_reduce(M)

@@ -8,7 +8,10 @@ for that index.  The per-orbit procedure:
   1. build the graded centralizer and the action matrix A(a);
   2. evaluate A at random prime-field points; the best rank found, pr, is a
      lower bound for the generic rank, so dim - pr is an upper bound for the
-     index;
+     index.  Since the index is at least min(r), dim - min(r) is a proven
+     ceiling for the generic rank: a trial stops its elimination there, and
+     once one trial reaches it no further trial is run, as none could find
+     more.  pr is the same as with every trial run to the end;
   3. if dim - pr = min(r) the bounds pinch and the verdict is a proven TRUE
      with no symbolic work;
   4. otherwise reduce A over Q; if pr equals the reduced row or column
@@ -167,8 +170,9 @@ def _verdicts(rep: ThetaRep, orbits: list[LabeledPartition], *, trials: int, see
         if job is None:
             cent = build_centralizer(orbit, rep.m)
             matrix = build_action_matrix(cent)
-            result, reduced = cheap_proof(matrix, probabilistic_rank(matrix, trials, seed),
-                                          rank)
+            # the index is at least min(r), so the generic rank at most dim - min(r)
+            prob = probabilistic_rank(matrix, trials, seed, ceiling=matrix.cols - rank)
+            result, reduced = cheap_proof(matrix, prob, rank)
             job = jobs[key] = _OrbitJob(orbit, len(cent.by_degree[0]), matrix,
                                         result, reduced)
         members.append((orbit, job))

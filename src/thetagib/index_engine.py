@@ -235,8 +235,10 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     nrows = len(cent.by_degree[0])
     ncols = len(cent.by_degree[cent.m - 1])
     zero: dict[int, int] = {}  # every empty cell shares it; entries are never modified
-    return LinearFormMatrix([[tensor.get((i, j), zero) for j in range(ncols)]
-                             for i in range(nrows)], ncols)
+    grid = [[zero] * ncols for _ in range(nrows)]
+    for (i, j), entry in tensor.items():
+        grid[i][j] = entry
+    return LinearFormMatrix(grid, ncols)
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,

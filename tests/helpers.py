@@ -126,6 +126,23 @@ def cell_exponents(cent: GradedCentralizer):
     return exps
 
 
+def dense_action_structure_constants(cent: GradedCentralizer):
+    """The action tensor of ``cent`` from ``bracket`` on every pair (x, v).
+
+    Same layout as ``action_structure_constants``: x over the degree-0
+    basis, v over the degree-(m-1) basis, a key only for a nonzero bracket.
+    """
+    module = cent.by_degree[cent.m - 1]
+    col = {v: k for k, v in enumerate(module)}
+    tensor = {}
+    for i, x in enumerate(cent.by_degree[0]):
+        for j, v in enumerate(module):
+            terms = cent.bracket(x, v)
+            if terms:
+                tensor[(i, j)] = {col[z]: c for z, c in terms.items()}
+    return tensor
+
+
 # ---------------------------------------------------------------------------
 # Symbolic rank oracle (sympy's elimination, independent of the Bareiss path).
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import cell_exponents, xi_matrix
+from helpers import cell_exponents, dense_action_structure_constants, xi_matrix
 from thetagib import (
     LabeledPartition,
     ThetaRep,
@@ -145,6 +145,24 @@ class TestActionStructureConstants:
         # [E11, E21] = -E21, [E11, E12] = +E12, [E22, E21] = +E21, ...
         assert tensor == {(0, 0): {0: -1}, (0, 1): {1: 1},
                           (1, 0): {0: 1}, (1, 1): {1: -1}}
+
+    @pytest.mark.parametrize("r", [(3, 3, 3), (4, 4, 4), (3, 3, 3, 3), (2, 3, 1, 2),
+                                   (1, 2, 2, 2, 1, 0)])
+    def test_sparse_build_equals_every_bracket(self, r):
+        rep = ThetaRep.of(*r)
+        for part in all_nilpotent_orbits(rep):
+            cent = build_centralizer(part, rep.m)
+            assert cent.action_structure_constants() == \
+                dense_action_structure_constants(cent), part
+
+    def test_bracket_outside_the_module_is_a_grading_violation(self):
+        cent = build_centralizer(LabeledPartition.parse("3^0 3^2 1^1"), 3)
+        acting, module = cent.by_degree[0], cent.by_degree[2]
+        # drop from the module an element that another one is bracketed into
+        w = next(z for x in acting for v in module for z in cent.bracket(x, v) if z != v)
+        cent.by_degree = cent.by_degree[:2] + (tuple(v for v in module if v != w),)
+        with pytest.raises(RuntimeError, match="grading violation"):
+            cent.action_structure_constants()
 
 
 class TestMatrixModel:

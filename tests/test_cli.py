@@ -368,6 +368,28 @@ class TestIndexFileCommand:
         assert code == 0 and json.loads(out)["matches_declared"] is False
         assert len(calls) == 1
 
+    def test_declared_rank_does_not_end_the_trials(self, capsys, tmp_path, monkeypatch):
+        # a declared rank is no proven bound: dim - rank = 0 reached by a first
+        # trial that lost rank must not stop the trials and match the bound
+        import thetagib.exact_linalg as el
+
+        ranks = []
+
+        def first_trial_loses_rank(*a, **k):
+            ranks.append(0 if not ranks else 1)
+            return ranks[-1]
+
+        monkeypatch.setattr(el, "rank_at_point_mod", first_trial_loses_rank)
+        path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 1,
+                                     "brackets": [[0, 0, 0, 1, 1]]})
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert ranks == [0, 1]  # the second trial reached min(rows, cols)
+        assert (doc["prob_rank"], doc["index"]) == (1, 0)
+        assert doc["matches_declared"] is False
+        assert doc["decided_by"] == "reduced-shape"
+
     def test_reduced_shape_decides_without_bareiss(self, capsys, tmp_path, monkeypatch):
         # 28x28 and prob 23 equal to the reduced row count: no elimination,
         # which on this matrix runs for more than a minute

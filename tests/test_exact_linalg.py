@@ -108,6 +108,31 @@ class TestProbabilisticRank:
                                     (nr, nc), field).rank()
             assert rank_at_point_mod(m, [1]) == expected
 
+    def test_ceiling_at_or_above_the_rank_changes_nothing(self):
+        rng = random.Random(11)
+        for _ in range(25):
+            m = random_matrix(rng)
+            generic = certified_rank(m)
+            point = [rng.randrange(EVAL_PRIME) for _ in range(m.num_indeterminates)]
+            at_point = rank_at_point_mod(m, point)
+            seed = rng.randrange(100)
+            prob = probabilistic_rank(m, 3, seed)
+            for ceiling in (generic, generic + 1, generic + 5):
+                assert rank_at_point_mod(m, point, ceiling=ceiling) == at_point
+                assert probabilistic_rank(m, 3, seed, ceiling=ceiling) == prob
+            # below the rank, the ceiling caps: only a proven one may be passed
+            for ceiling in range(at_point):
+                assert rank_at_point_mod(m, point, ceiling=ceiling) == ceiling
+
+    def test_negative_ceiling_is_rejected(self):
+        m = LinearFormMatrix([[lf(a1=1)]], 1)
+        with pytest.raises(ValueError, match="ceiling"):
+            rank_at_point_mod(m, [1], ceiling=-1)
+        with pytest.raises(ValueError, match="ceiling"):
+            probabilistic_rank(m, ceiling=-1)
+        with pytest.raises(ValueError, match="ceiling"):
+            probabilistic_rank(LinearFormMatrix([], 1), ceiling=-1)
+
     def test_point_rank_loses_rank_divisible_by_prime(self):
         m = LinearFormMatrix([[lf(a1=1), {}],
                               [{}, lf(a1=EVAL_PRIME)]], 1)
@@ -186,9 +211,9 @@ class TestCertifiedRank:
 
         divisor_terms = []
 
-        def recording_div(num, divisor, guard):
+        def recording_div(num, divisor, guard, deadline):
             divisor_terms.append(len(divisor))
-            return _div_heap(num, divisor, guard)
+            return _div_heap(num, divisor, guard, deadline)
 
         monkeypatch.setattr(el, "_div_heap", recording_div)
         rng = random.Random(77)
@@ -245,6 +270,10 @@ class TestCertifiedRank:
             return readings[-1]
 
         monkeypatch.setattr(el, "monotonic", clock)
+        # the reads within a product and a division are tested on their own
+        # below; without them the clock ticks once per cell
+        monkeypatch.setattr(el, "_cross", lambda *args: _cross(*args[:5]))
+        monkeypatch.setattr(el, "_div_heap", lambda *args: _div_heap(*args[:3]))
         assert certified_rank(m, timeout=56) == 6
         assert len(readings) == 56  # the start, then one per cell
         readings.clear()
@@ -254,6 +283,18 @@ class TestCertifiedRank:
         monkeypatch.undo()
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, timeout=0)
+
+    def test_no_time_limit_reads_no_clock(self, monkeypatch):
+        import thetagib.exact_linalg as el
+
+        def clock():
+            raise AssertionError("the clock was read without a time limit")
+
+        monkeypatch.setattr(el, "monotonic", clock)
+        rng = random.Random(4)
+        grid = [[{k: rng.randint(1, 9) for k in range(6)}
+                 for _ in range(6)] for _ in range(6)]
+        assert certified_rank(LinearFormMatrix(grid, 6)) == 6
 
     def test_time_limit_holds_within_a_row_operation(self):
         # the reduced 17x18 (3,3,3) matrix of this orbit runs far past 1.5 s,
@@ -363,6 +404,19 @@ class TestPackedPolynomials:
             if not a or not b:
                 continue
             assert _div_heap(_cross(a, b, {}, {}, 10**6), b, guard) == a
+
+    def test_product_and_division_read_a_passed_deadline(self):
+        width, guard = _packing(2, 4)
+        a = packed({(1, 0): 1, (0, 1): 2}, 2, width)
+        product = _cross(a, a, {}, {}, 10**6)
+        past = time.monotonic() - 1
+        with pytest.raises(ResourceLimitExceeded, match="time limit"):
+            _cross(a, a, {}, {}, 10**6, past)
+        with pytest.raises(ResourceLimitExceeded, match="time limit"):
+            _div_heap(product, a, guard, past)
+        later = time.monotonic() + 3600
+        assert _cross(a, a, {}, {}, 10**6, later) == product
+        assert _div_heap(product, a, guard, later) == a
 
     def test_constant_division(self):
         width, guard = _packing(2, 2)

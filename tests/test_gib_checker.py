@@ -304,6 +304,47 @@ class TestShiftClasses:
             assert times == [0 if bound else 1 for bound in matched]
         assert len(reduced) == sum(times)
 
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), (2, 3, 4), (1, 2, 2, 2, 1, 0)])
+    def test_rank_ceiling_changes_no_result(self, monkeypatch, r):
+        # every point rank is at most the generic rank, which Vinberg's
+        # inequality puts at most dim - min(r): stopping there loses nothing
+        import thetagib.gib_checker as gc
+
+        capped = check_rep(ThetaRep.of(*r))
+        ceilings = []
+
+        def uncapped(matrix, trials, seed, ceiling):
+            ceilings.append(ceiling)
+            return rank(matrix, trials, seed)
+
+        rank = gc.probabilistic_rank
+        monkeypatch.setattr(gc, "probabilistic_rank", uncapped)
+        plain = check_rep(ThetaRep.of(*r))
+        assert [v.index_result for v in capped.verdicts] == \
+            [v.index_result for v in plain.verdicts]
+        assert ceilings and all(c >= 0 for c in ceilings)
+
+    def test_bound_matched_classes_run_one_trial(self, monkeypatch):
+        # on (3,3,3) the first trial of each of the 65 bound-matched classes
+        # reaches dim - min(r), and the one other class runs all three
+        # trials; a class whose ceiling dim - min(r) is 0 runs none
+        import thetagib.exact_linalg as el
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return point_rank(*a, **k)
+
+        point_rank = el.rank_at_point_mod
+        monkeypatch.setattr(el, "rank_at_point_mod", counted)
+        report = check_rep(ThetaRep.of(3, 3, 3))
+        classes = [v for v in report.verdicts if v.computed_as == v.orbit]
+        matched = sum(v.decided_by == DECIDED_BY_BOUND_MATCH for v in classes)
+        at_zero = sum(v.dim_module == report.rank for v in classes)
+        assert (len(classes), matched, at_zero) == (66, 65, 1)
+        assert len(calls) == matched - at_zero + 3 * (len(classes) - matched) == 67
+
     def test_bad_orbits_of_333_share_one_certificate(self):
         report = cached_check_rep((3, 3, 3))
         bad = [v for v in report.verdicts if v.gib is False]

@@ -242,6 +242,16 @@ class TestGenericDocuments:
         assert res.index == 2
         assert res.index != declared
 
+    def test_export_is_unchanged(self):
+        cent = build_centralizer(LabeledPartition.parse("3^0 3^2 1^1"), 3)
+        assert export_action(cent, declared_rank=1) == {
+            "dim_q": 6, "dim_v": 5, "rank": 1,
+            "brackets": [[0, 1, 1, -1, 1], [0, 2, 2, 1, 1], [1, 2, 0, -1, 1],
+                         [1, 2, 3, 1, 1], [2, 1, 0, 1, 1], [2, 1, 3, -1, 1],
+                         [3, 1, 1, 1, 1], [3, 2, 2, -1, 1], [3, 4, 4, -1, 1],
+                         [4, 4, 3, 1, 1], [5, 4, 4, 1, 1]],
+        }
+
     def test_export_recheck_whole_rep(self):
         rep = ThetaRep.of(3, 3, 2)
         report = cached_check_rep(rep.r)
