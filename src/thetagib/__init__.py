@@ -18,7 +18,6 @@ from .exact_linalg import (
     certified_rank,
     ground_field_reduce,
     probabilistic_rank,
-    scalar_rank,
 )
 from .gib_checker import GibReport, OrbitVerdict, check_orbit, check_rep
 from .index_engine import (
@@ -84,7 +83,6 @@ __all__ = [
     "pattern_predicates",
     "predicted_gib",
     "probabilistic_rank",
-    "scalar_rank",
     "slice_reduce",
     "to_kac_diagram",
     "zero_orbit",

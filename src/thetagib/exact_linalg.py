@@ -118,16 +118,6 @@ class LinearFormMatrix:
         self.num_indeterminates = num_indeterminates
         self.entries = tuple(grid)
 
-    def evaluate(self, point: Sequence) -> list[list[Fraction]]:
-        """Substitute a point for (a_1, ..., a_s); exact rational result."""
-        if len(point) != self.num_indeterminates:
-            raise ValueError(
-                f"point has length {len(point)}, expected {self.num_indeterminates}"
-            )
-        pt = [_as_rational(x) for x in point]
-        return [[sum((c * pt[k] for k, c in e.items()), Fraction(0)) for e in row]
-                for row in self.entries]
-
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "LinearFormMatrix":
         grid = [[self.entries[i][j] for j in col_order] for i in row_order]
         return LinearFormMatrix(grid, self.num_indeterminates)
@@ -137,40 +127,6 @@ class LinearFormMatrix:
             "[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries
         )
         return f"LinearFormMatrix({self.rows}x{self.cols}, s={self.num_indeterminates}, {body})"
-
-
-# ---------------------------------------------------------------------------
-# Rank over Q of a scalar matrix (used by the reducers and by evaluation).
-
-
-def scalar_rank(matrix: Sequence[Sequence]) -> int:
-    """Exact rank over Q of a dense matrix of rationals."""
-    m = [[_as_rational(x) for x in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, nrows):
-            f = m[r][col]
-            if f:
-                f *= inv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[row][c]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +152,34 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     rank reaches it, which then is the rank at the point.  Only a caller
     that has such a proof may pass one (the orbit driver has dim - min(r));
     a wrong ceiling caps the result silently.
+
+    The work follows the nonzeros: only nonempty cells are evaluated, rows
+    that vanish at the point are dropped, and each pivot row's nonzero
+    columns right of the pivot are listed once, so a row below is updated
+    at those columns only and its pivot-column cell is set to 0.  Pivots
+    are taken column by column, the first remaining row with a nonzero
+    there.
     """
     limit = _rank_limit(M, ceiling)
     if limit == 0:
         return 0
-    nrows, ncols = M.rows, M.cols
+    ncols = M.cols
     m = []
     for row in M.entries:
-        vals = []
-        for e in row:
-            v = 0
-            for k, c in e.items():
-                v += c * point[k]
-            vals.append(v % p)
-        m.append(vals)
+        vals = [0] * ncols
+        nonzero = False
+        for j, e in enumerate(row):
+            if e:
+                v = 0
+                for k, c in e.items():
+                    v += c * point[k]
+                v %= p
+                if v:
+                    vals[j] = v
+                    nonzero = True
+        if nonzero:
+            m.append(vals)
+    nrows = len(m)
     rank = 0
     for col in range(ncols):
         piv = None
@@ -224,14 +194,18 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
         rank += 1
         if rank == limit:
             break
-        inv = pow(prow[col], -1, p)
+        # row r below gets mr[c] - (mr[col] / prow[col]) * prow[c] at each
+        # c in the pivot row's support, as mr[c] + mr[col] * scaled
+        neg_inv = p - pow(prow[col], -1, p)
+        support = [(c, v * neg_inv % p) for c in range(col + 1, ncols)
+                   if (v := prow[c])]
         for r in range(rank, nrows):
-            f = m[r][col]
+            mr = m[r]
+            f = mr[col]
             if f:
-                f = f * inv % p
-                mr = m[r]
-                for c in range(col, ncols):
-                    mr[c] = (mr[c] - f * prow[c]) % p
+                for c, scaled in support:
+                    mr[c] = (mr[c] + f * scaled) % p
+                mr[col] = 0
     return rank
 
 

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd, lcm
 from time import monotonic
 from typing import Callable, Sequence
 
@@ -289,7 +290,16 @@ def _require_int(doc: dict, key: str) -> int:
 
 
 def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
-    """Validate a structure-constant document; return (matrix, declared rank)."""
+    """Validate a structure-constant document; return (matrix, declared rank).
+
+    Row i of the matrix is x_i's action, and scaling it by a nonzero
+    constant keeps the generic rank, so each row is stored as a primitive
+    integer row: its coefficients are multiplied by L_i, the lcm of the
+    denominators in the row's brackets, and then divided by their gcd.
+    Repeated (i, j, k) brackets accumulate first, and a coefficient that
+    cancels to zero is not stored.  The parse uses ints only; a row whose
+    content is a multiple of the evaluation prime thus keeps its F_p rank.
+    """
     if not isinstance(doc, dict):
         raise GenericActionError("document must be a JSON object")
     dim_q = _require_int(doc, "dim_q")
@@ -297,7 +307,7 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise GenericActionError("field 'brackets' must be a list")
-    coeffs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    row_lcm: dict[int, int] = {}
     for pos, item in enumerate(brackets):
         where = f"brackets[{pos}]"
         if not isinstance(item, list) or len(item) != 5:
@@ -314,9 +324,20 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
             raise GenericActionError(f"{where}: k={k} out of range (dim_v={dim_v})")
         if den == 0:
             raise GenericActionError(f"{where}: zero denominator")
-        entry = coeffs.setdefault((i, j), {})
-        entry[k] = entry.get(k, Fraction(0)) + Fraction(num, den)
-    grid = [[coeffs.get((i, j), {}) for j in range(dim_v)] for i in range(dim_q)]
+        row_lcm[i] = lcm(row_lcm.get(i, 1), den)
+    rows: dict[int, dict[int, dict[int, int]]] = {i: {} for i in row_lcm}
+    for i, j, k, num, den in brackets:
+        entry = rows[i].setdefault(j, {})
+        entry[k] = entry.get(k, 0) + num * (row_lcm[i] // den)
+    zero: dict[int, int] = {}  # every empty cell shares it; entries are never modified
+    grid = [[zero] * dim_v for _ in range(dim_q)]
+    for i, cells in rows.items():
+        cells = {j: kept for j, entry in cells.items()
+                 if (kept := {k: c for k, c in entry.items() if c})}
+        content = gcd(*(c for entry in cells.values() for c in entry.values()))
+        row = grid[i]
+        for j, entry in cells.items():
+            row[j] = entry if content == 1 else {k: c // content for k, c in entry.items()}
     declared = None
     if "rank" in doc:
         declared = _require_int(doc, "rank")

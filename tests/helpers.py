@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the implementation paths it
 checks: orbit enumeration is re-done by label assignment over plain
 partitions, graded dimensions by counting matrix units, brackets by explicit
-matrix commutators, and generic ranks by sympy's own symbolic elimination.
+matrix commutators, generic ranks by sympy's own symbolic elimination,
+point ranks by plain rational row reduction, and parsed documents by
+accumulating ``Fraction`` coefficients.
 """
 
 from fractions import Fraction
@@ -229,3 +231,74 @@ def random_matrix(rng, max_rows=6, max_cols=6, max_vars=4) -> LinearFormMatrix:
             row.append(coeffs)
         grid.append(row)
     return LinearFormMatrix(grid, s)
+
+
+# ---------------------------------------------------------------------------
+# Rational evaluation and rank: the plain oracles for the F_p rank.
+
+
+def evaluate(matrix: LinearFormMatrix, point) -> list[list[Fraction]]:
+    """Substitute a point for (a_1, ..., a_s); exact rational result."""
+    if len(point) != matrix.num_indeterminates:
+        raise ValueError(
+            f"point has length {len(point)}, expected {matrix.num_indeterminates}"
+        )
+    pt = [Fraction(x) for x in point]
+    return [[sum((c * pt[k] for k, c in e.items()), Fraction(0)) for e in row]
+            for row in matrix.entries]
+
+
+def scalar_rank(matrix) -> int:
+    """Exact rank over Q of a dense matrix of rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        for r in range(rank + 1, nrows):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, ncols):
+                    m[r][c] -= f * m[rank][c]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
+# Structure-constant documents: the rational parse the integer one replaced.
+
+
+def fraction_parse(doc: dict) -> list[list[dict[int, Fraction]]]:
+    """The action grid of a valid document, each coefficient an exact Fraction.
+
+    Repeated (i, j, k) brackets accumulate and a coefficient that cancels is
+    dropped; no row is rescaled.
+    """
+    coeffs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i, j, k, num, den in doc["brackets"]:
+        entry = coeffs.setdefault((i, j), {})
+        entry[k] = entry.get(k, Fraction(0)) + Fraction(num, den)
+    return [[{k: c for k, c in coeffs.get((i, j), {}).items() if c}
+             for j in range(doc["dim_v"])] for i in range(doc["dim_q"])]
+
+
+def scale_rows(doc: dict, rng, max_den: int = 97) -> dict:
+    """A copy of ``doc`` with each row's brackets times a random nonzero rational.
+
+    Scales have either sign and numerators and denominators in 1..max_den,
+    so the scaled document has the same generic rank.
+    """
+    scales: dict[int, Fraction] = {}
+    brackets = []
+    for i, j, k, num, den in doc["brackets"]:
+        if i not in scales:
+            scales[i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, max_den),
+                                 rng.randint(1, max_den))
+        c = Fraction(num, den) * scales[i]
+        brackets.append([i, j, k, c.numerator, c.denominator])
+    return dict(doc, brackets=brackets)

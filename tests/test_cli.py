@@ -442,6 +442,17 @@ class TestIndexFileCommand:
         assert code == 0
         assert "index=0" in out and "verdict true" in out
 
+    def test_row_content_multiple_of_evaluation_prime(self, capsys, tmp_path):
+        # the row p*a1, p*a2 vanishes at every point mod p unless it is
+        # stored primitive, as a1, a2
+        path = self.write(tmp_path, {"dim_q": 1, "dim_v": 2, "brackets": [
+            [0, 0, 0, 2147483647, 1], [0, 1, 1, 2147483647, 1]]})
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["prob_rank"], doc["index"]) == (1, 1)
+        assert doc["decided_by"] == "reduced-shape"
+
     def test_torus_full_rank(self, capsys, tmp_path):
         path = self.write(tmp_path, {
             "dim_q": 3, "dim_v": 3, "rank": 0,

@@ -8,7 +8,14 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from helpers import minor_expansion_rank, random_matrix, sympy_field_rank, sympy_generic_rank
+from helpers import (
+    evaluate,
+    minor_expansion_rank,
+    random_matrix,
+    scalar_rank,
+    sympy_field_rank,
+    sympy_generic_rank,
+)
 from thetagib import (
     LabeledPartition,
     LinearFormMatrix,
@@ -18,7 +25,6 @@ from thetagib import (
     certified_rank,
     ground_field_reduce,
     probabilistic_rank,
-    scalar_rank,
 )
 from thetagib.exact_linalg import EVAL_PRIME, _cross, _div_heap, _packing, rank_at_point_mod
 
@@ -38,18 +44,18 @@ def matrix_332_orbit():
 class TestEvaluate:
     def test_single_entry(self):
         m = LinearFormMatrix([[lf(a1=2, a2=3)]], 2)
-        assert m.evaluate([1, 1]) == [[5]]
-        assert m.evaluate([Fraction(1, 2), 0]) == [[1]]
+        assert evaluate(m, [1, 1]) == [[5]]
+        assert evaluate(m, [Fraction(1, 2), 0]) == [[1]]
 
     def test_zero_point_kills_every_entry(self):
         m = matrix_332_orbit()
-        values = m.evaluate([0] * m.num_indeterminates)
+        values = evaluate(m, [0] * m.num_indeterminates)
         assert all(v == 0 for row in values for v in row)
 
     def test_dimension_mismatch(self):
         m = LinearFormMatrix([[lf(a1=1)]], 1)
         with pytest.raises(ValueError):
-            m.evaluate([1, 2])
+            evaluate(m, [1, 2])
 
     def test_332_matrix_has_rank_one_at_random_points(self):
         # oracle: plain rational row reduction at 10 seeded points
@@ -58,7 +64,7 @@ class TestEvaluate:
         rng = random.Random(332)
         for _ in range(10):
             point = [Fraction(rng.randint(1, 10**6)) for _ in range(m.num_indeterminates)]
-            assert scalar_rank(m.evaluate(point)) == 1
+            assert scalar_rank(evaluate(m, point)) == 1
 
 
 class TestProbabilisticRank:
@@ -90,7 +96,7 @@ class TestProbabilisticRank:
         for _ in range(25):
             m = random_matrix(rng)
             point = [rng.randint(0, 10**6) for _ in range(m.num_indeterminates)]
-            assert rank_at_point_mod(m, point) == scalar_rank(m.evaluate(point))
+            assert rank_at_point_mod(m, point) == scalar_rank(evaluate(m, point))
 
     def test_point_rank_matches_sympy_over_gf_p(self):
         # reference: sympy's elimination over GF(EVAL_PRIME), one indeterminate
@@ -107,6 +113,36 @@ class TestProbabilisticRank:
             expected = DomainMatrix([[field(v) for v in row] for row in vals],
                                     (nr, nc), field).rank()
             assert rank_at_point_mod(m, [1]) == expected
+
+    def test_sparse_point_rank_matches_sympy_at_every_ceiling(self):
+        # density 0.1-0.4 with forced zero rows, zero columns and duplicate
+        # rows; some nonzero entries are multiples of p, so they vanish at
+        # the point like the zeros the kernel skips
+        field = GF(EVAL_PRIME)
+        rng = random.Random(2024)
+        for _ in range(60):
+            nr = rng.randint(1, 15)
+            nc = rng.randint(1, 15)
+            density = rng.uniform(0.1, 0.4)
+            vals = [[(EVAL_PRIME * rng.randint(1, 3) if rng.random() < 0.1
+                      else rng.randrange(1, EVAL_PRIME))
+                     if rng.random() < density else 0 for _ in range(nc)]
+                    for _ in range(nr)]
+            for _ in range(rng.randint(0, 2)):
+                vals[rng.randrange(nr)] = [0] * nc
+            for _ in range(rng.randint(0, 2)):
+                j = rng.randrange(nc)
+                for row in vals:
+                    row[j] = 0
+            if nr >= 2:
+                for _ in range(rng.randint(0, 2)):
+                    vals[rng.randrange(nr)] = list(vals[rng.randrange(nr)])
+            m = LinearFormMatrix([[{0: v} if v else {} for v in row] for row in vals], 1)
+            rank = DomainMatrix([[field(v) for v in row] for row in vals],
+                                (nr, nc), field).rank()
+            assert rank_at_point_mod(m, [1]) == rank
+            for ceiling in range(min(nr, nc) + 1):
+                assert rank_at_point_mod(m, [1], ceiling=ceiling) == min(rank, ceiling)
 
     def test_ceiling_at_or_above_the_rank_changes_nothing(self):
         rng = random.Random(11)
@@ -316,7 +352,7 @@ class TestRankInvariants:
             m = random_matrix(rng)
             cert = certified_rank(m)
             point = [Fraction(rng.randint(-50, 50)) for _ in range(m.num_indeterminates)]
-            assert scalar_rank(m.evaluate(point)) <= cert
+            assert scalar_rank(evaluate(m, point)) <= cert
 
     def test_probabilistic_below_certified_and_usually_equal(self):
         rng = random.Random(6)

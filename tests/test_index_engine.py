@@ -2,13 +2,23 @@
 
 import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from helpers import cached_check_rep, positive_rank_reps
+from helpers import (
+    cached_check_rep,
+    evaluate,
+    fraction_parse,
+    positive_rank_reps,
+    scalar_rank,
+    scale_rows,
+)
 from thetagib import (
     GenericActionError,
     LabeledPartition,
+    LinearFormMatrix,
     ThetaRep,
     build_action_matrix,
     build_centralizer,
@@ -17,7 +27,6 @@ from thetagib import (
     export_action,
     index_of_matrix,
     parse_action_document,
-    scalar_rank,
 )
 from thetagib.exact_linalg import ResourceLimitExceeded, ground_field_reduce
 from thetagib.index_engine import DECIDED_BY_REDUCED_SHAPE, slice_rank, transversal_slice
@@ -77,7 +86,7 @@ class TestComputeIndex:
             res = index_of_matrix(mat)
             assert res.index == rep.rank(), rep
             point = [rng.randint(1, 10**9) for _ in range(mat.num_indeterminates)]
-            assert scalar_rank(mat.evaluate(point)) == mat.cols - rep.rank()
+            assert scalar_rank(evaluate(mat, point)) == mat.cols - rep.rank()
 
     def test_index_lower_bound_and_max_orbit_equality(self):
         # every orbit's index is at least the rank; the densest orbit attains it
@@ -288,6 +297,47 @@ class TestGenericDocuments:
         mat, _ = parse_action_document(
             {"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, -1, 2]]})
         assert mat.entries[0][0] == {}
+
+    @staticmethod
+    def assert_primitive_multiple(parsed: LinearFormMatrix, oracle):
+        # each parsed row is a primitive int row, a rational multiple of the
+        # oracle's row with the same nonzero cells
+        for row, ref in zip(parsed.entries, oracle, strict=True):
+            assert [sorted(e) for e in row] == [sorted(e) for e in ref]
+            coeffs = [c for e in row for c in e.values()]
+            assert all(type(c) is int for c in coeffs)
+            if not coeffs:
+                continue
+            assert gcd(*coeffs) == 1
+            j, k = next((j, k) for j, e in enumerate(ref) for k in e)
+            factor = Fraction(row[j][k]) / ref[j][k]
+            assert all(e[k] == factor * c for e, r in zip(row, ref) for k, c in r.items())
+
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 3, 4)])
+    def test_integer_parse_matches_fraction_oracle(self, r):
+        rep = ThetaRep.of(*r)
+        rng = random.Random(sum(r))
+        for part in all_nilpotent_orbits(rep):
+            doc = export_action(build_centralizer(part, rep.m), declared_rank=rep.rank())
+            scaled = scale_rows(doc, rng)
+            mat, declared = parse_action_document(scaled)
+            self.assert_primitive_multiple(mat, fraction_parse(scaled))
+            plain, _ = parse_action_document(doc)
+            assert (index_of_matrix(mat, target=declared)
+                    == index_of_matrix(plain, target=declared)), part
+
+    def test_cancelling_brackets_match_fraction_oracle(self):
+        # cells (0, 0), (1, 0) and (2, 1) cancel, row 1 keeps 5*a2 and is
+        # stored as a2, and -1/-2 is 1/2
+        doc = {"dim_q": 3, "dim_v": 2,
+               "brackets": [[0, 0, 0, 1, 3], [0, 0, 0, -2, 6], [0, 1, 1, 4, 6],
+                            [0, 1, 0, -1, -2], [1, 0, 1, 3, 7], [1, 0, 1, -3, 7],
+                            [1, 1, 1, 5, 1], [2, 1, 0, 7, 2], [2, 1, 0, -7, 2]]}
+        mat, _ = parse_action_document(doc)
+        self.assert_primitive_multiple(mat, fraction_parse(doc))
+        assert list(mat.entries[0]) == [{}, {1: 4, 0: 3}]
+        assert list(mat.entries[1]) == [{}, {1: 1}]
+        assert list(mat.entries[2]) == [{}, {}]
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"dim_v": 1}, "dim_q"),
