@@ -36,11 +36,9 @@ from .orbits import (
     zero_orbit,
 )
 from .theta_gl import (
-    KacDiagram,
     PatternFlags,
     ThetaRep,
     dual_rep,
-    from_kac_diagram,
     normalize_cyclic,
     pattern_predicates,
     predicted_gib,
@@ -56,7 +54,6 @@ __all__ = [
     "GibReport",
     "GradedCentralizer",
     "IndexResult",
-    "KacDiagram",
     "LabeledPartition",
     "LinearFormMatrix",
     "OrbitVerdict",
@@ -74,7 +71,6 @@ __all__ = [
     "dual_rep",
     "enumerate_orbits",
     "export_action",
-    "from_kac_diagram",
     "ground_field_reduce",
     "index_of_matrix",
     "normalize_cyclic",

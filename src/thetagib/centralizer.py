@@ -43,7 +43,7 @@ class XiElement:
 class GradedCentralizer:
     """Centralizer basis of a labeled partition, bucketed by degree mod m."""
 
-    __slots__ = ("partition", "m", "lengths", "labels", "by_degree", "_index")
+    __slots__ = ("partition", "m", "lengths", "labels", "by_degree")
 
     def __init__(self, partition: LabeledPartition, m: int):
         if any(t >= m for _, t in partition.blocks):
@@ -63,15 +63,10 @@ class GradedCentralizer:
                     deg = (s + t[j - 1] - t[i - 1]) % m
                     buckets[deg].append(XiElement(i, j, s))
         self.by_degree = tuple(tuple(b) for b in buckets)
-        self._index = {
-            x: (deg, pos)
-            for deg, bucket in enumerate(self.by_degree)
-            for pos, x in enumerate(bucket)
-        }
 
     @property
     def dim(self) -> int:
-        return len(self._index)
+        return sum(len(b) for b in self.by_degree)
 
     def dims_by_degree(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.by_degree)
@@ -83,12 +78,6 @@ class GradedCentralizer:
         di = self.lengths[i - 1] - 1
         dj = self.lengths[j - 1] - 1
         return max(dj - di, 0) <= s <= dj
-
-    def element(self, i: int, j: int, s: int) -> XiElement:
-        x = XiElement(i, j, s)
-        if x not in self._index:
-            raise ValueError(f"{x.to_text()} violates the s-range for these blocks")
-        return x
 
     def bracket(self, x: XiElement, y: XiElement) -> dict[XiElement, int]:
         """Commutator [x, y] as a signed combination of basis elements.
@@ -156,13 +145,6 @@ class GradedCentralizer:
                 if entry:
                     tensor[(row, j)] = entry
         return tensor
-
-    def describe(self) -> str:
-        lines = [f"blocks {self.partition.to_text()}  (order {self.m}, dim {self.dim})"]
-        for deg, bucket in enumerate(self.by_degree):
-            names = " ".join(x.to_text() for x in bucket)
-            lines.append(f"  degree {deg}: [{len(bucket)}] {names}")
-        return "\n".join(lines)
 
 
 def build_centralizer(partition: LabeledPartition, m: int) -> GradedCentralizer:

@@ -211,7 +211,7 @@ def emit_report(rows: list[ClassificationRow], fmt: str = "text") -> str:
     lines = []
     for row in rows:
         rep = ThetaRep(row.m, row.r)
-        diagram = to_kac_diagram(rep).ascii() if min(row.r) >= 1 else "-"
+        diagram = to_kac_diagram(rep) if min(row.r) >= 1 else "-"
         bad = " ".join(f"[{b}]" for b in row.bad_orbits) if row.bad_orbits else "-"
         lines.append(
             f"m={row.m} r=({','.join(str(x) for x in row.r)})"
@@ -254,7 +254,7 @@ def _format_check_text(report: GibReport) -> str:
     rep = report.rep
     lines = [f"grading {rep.to_text()}"]
     if min(rep.r) >= 1:
-        lines.append(f"kac diagram (cyclic): {to_kac_diagram(rep).ascii()}")
+        lines.append(f"kac diagram (cyclic): {to_kac_diagram(rep)}")
     lines.append(f"rank: {report.rank}")
     lines.append(f"nilpotent orbits: {report.orbit_count}")
     lines.append(f"gib: {_verdict_text(report.rep_gib)}")
@@ -358,6 +358,9 @@ def _cmd_index_file(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: {args.path}: invalid JSON at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
+        return 1
+    except (RecursionError, UnicodeDecodeError) as exc:  # nested too deep, not UTF-8
+        print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
     try:
         matrix, declared = parse_action_document(doc)
@@ -465,7 +468,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenericActionError) as exc:
+    except ValueError as exc:  # GenericActionError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

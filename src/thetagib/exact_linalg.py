@@ -64,12 +64,6 @@ class ResourceLimitExceeded(Exception):
     """Certified rank exceeded its polynomial-size or wall-clock budget."""
 
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 class LinearFormMatrix:
     """rows x cols matrix of homogeneous linear forms in s indeterminates.
 
@@ -81,7 +75,8 @@ class LinearFormMatrix:
     {1: 1/3}]]`` is kept as ``[[{0: 3}, {1: 2}]]``.  Row scaling keeps the
     generic rank, and the rank layers then run over Z without rescaling.
     A row that needs no change keeps its entries, which matrices therefore
-    share; no routine modifies an entry.
+    share; no routine modifies an entry.  ``cols`` sets the column count of
+    a matrix without rows; given with rows, each row must have that many.
     """
 
     __slots__ = ("rows", "cols", "num_indeterminates", "entries")
@@ -89,14 +84,12 @@ class LinearFormMatrix:
     def __init__(self, entries: Sequence[Sequence[Mapping[int, int | Fraction]]],
                  num_indeterminates: int, cols: int | None = None):
         rows = len(entries)
-        if rows:
-            cols = len(entries[0])
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(entries[0]) if rows else 0
         grid = []
         for row in entries:
             if len(row) != cols:
-                raise ValueError("ragged rows")
+                raise ValueError(f"a row has {len(row)} entries, expected {cols}")
             # lcm of the row's denominators; clean while every coefficient
             # is a nonzero int, so that the row can be kept as it is
             scale, clean = 1, True
@@ -143,8 +136,8 @@ def _rank_limit(M: LinearFormMatrix, ceiling: int | None) -> int:
 
 
 def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
-                      p: int = EVAL_PRIME, ceiling: int | None = None) -> int:
-    """Rank over F_p of M evaluated at an integer point (reduced mod p).
+                      ceiling: int | None = None) -> int:
+    """Rank over F_p (p = ``EVAL_PRIME``) of M at an integer point reduced mod p.
 
     An integer matrix reduced mod p can only lose rank, so this is a lower
     bound for the generic rank of M.  ``ceiling``, if given, must be a
@@ -163,6 +156,7 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     limit = _rank_limit(M, ceiling)
     if limit == 0:
         return 0
+    p = EVAL_PRIME
     ncols = M.cols
     m = []
     for row in M.entries:
@@ -231,7 +225,7 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
     best = 0
     for _ in range(trials):
         point = [rng.randrange(EVAL_PRIME) for _ in range(s)]
-        best = max(best, rank_at_point_mod(M, point, EVAL_PRIME, ceiling))
+        best = max(best, rank_at_point_mod(M, point, ceiling))
         if best == limit:
             break
     return best
@@ -248,7 +242,7 @@ def _coeff_div(a, b):
         if rem == 0:
             return q
         return Fraction(a, b)
-    return _as_rational(a) / _as_rational(b)
+    return Fraction(a) / b
 
 
 def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
@@ -291,18 +285,7 @@ def ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
     s = M.num_indeterminates
     row_keep = _independent_indices([_row_vector(row, s) for row in M.entries])
     kept_rows = [M.entries[i] for i in row_keep]
-    if not kept_rows:
-        return LinearFormMatrix([], s)
-    col_vectors = []
-    for j in range(M.cols):
-        vec = {}
-        for i, row in enumerate(kept_rows):
-            for k, c in row[j].items():
-                vec[i * s + k] = c
-        col_vectors.append(vec)
-    col_keep = _independent_indices(col_vectors)
-    if not col_keep:
-        return LinearFormMatrix([], s)
+    col_keep = _independent_indices([_row_vector(col, s) for col in zip(*kept_rows)])
     grid = [[row[j] for j in col_keep] for row in kept_rows]
     return LinearFormMatrix(grid, s)
 

@@ -215,6 +215,8 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     ignores the cap.
     """
     validate_budget(max_terms, cert_timeout)
+    if max_certifications is not None and max_certifications < 0:
+        raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
     verdicts = _verdicts(rep, all_nilpotent_orbits(rep), trials=trials, seed=seed,
                          certify_all=certify_all, max_terms=max_terms,
                          max_certifications=max_certifications, cert_timeout=cert_timeout)

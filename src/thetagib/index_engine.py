@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 from time import monotonic
@@ -349,9 +348,9 @@ def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> 
     tensor = cent.action_structure_constants()
     brackets = []
     for (i, j) in sorted(tensor):
-        for k in sorted(tensor[(i, j)]):
-            c = Fraction(tensor[(i, j)][k])
-            brackets.append([i, j, k, c.numerator, c.denominator])
+        entry = tensor[(i, j)]
+        for k in sorted(entry):
+            brackets.append([i, j, k, entry[k], 1])
     doc = {
         "dim_q": len(cent.by_degree[0]),
         "dim_v": len(cent.by_degree[cent.m - 1]),

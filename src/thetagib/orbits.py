@@ -37,10 +37,6 @@ class LabeledPartition:
         return sum(l for l, _ in self.blocks)
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def is_zero_orbit(self) -> bool:
         return all(l == 1 for l, _ in self.blocks)
 
@@ -51,11 +47,8 @@ class LabeledPartition:
         """How many basis vectors of each eigenvalue residue the blocks use."""
         counts = [0] * m
         for length, label in self.blocks:
-            q, rem = divmod(length, m)
-            for c in range(m):
-                counts[c] += q
-            for j in range(rem):
-                counts[(label + j) % m] += 1
+            for c, u in enumerate(_block_usage(length, label, m)):
+                counts[c] += u
         return counts
 
     def valid_for(self, rep: ThetaRep) -> bool:

@@ -3,10 +3,10 @@
 A degree-m cyclic grading of gl_n given by conjugation with a diagonal
 matrix of m-th roots of unity is determined, up to conjugacy and cyclic
 rotation, by the eigenspace dimensions r = (r_0, ..., r_{m-1}).  This module
-holds that combinatorial data, the conversion to and from cycle-shaped Kac
-diagrams, and the elementary transforms (cyclic normal form, degree
-reversal, slice reduction) plus the pattern predicates that the closed-form
-classification theorems use.
+holds that combinatorial data, its rendering as a cycle-shaped Kac diagram,
+and the elementary transforms (cyclic normal form, degree reversal, slice
+reduction) plus the pattern predicates that the closed-form classification
+theorems use.
 """
 
 from __future__ import annotations
@@ -90,56 +90,16 @@ class ThetaRep:
         return "(" + ",".join(str(x) for x in self.r) + ")"
 
 
-@dataclass(frozen=True)
-class KacDiagram:
-    """Cycle of n nodes, black (True) or white, encoding a grading.
+def to_kac_diagram(rep: ThetaRep) -> str:
+    """The node cycle of ``rep``: per multiplicity x, ``●`` then x - 1 ``o``.
 
-    Each black node opens an arc; the multiplicity of that arc is one plus
-    the number of white nodes before the next black node.  The number of
-    black nodes is the order m.
+    Each black node opens an arc whose multiplicity is one plus the number
+    of white nodes before the next black node, so there are m black nodes.
+    Requires every multiplicity >= 1.
     """
-
-    nodes: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(bool(b) for b in self.nodes))
-        if not self.nodes:
-            raise ValueError("empty diagram")
-        if not any(self.nodes):
-            raise ValueError("diagram must have at least one black node")
-
-    @property
-    def n(self) -> int:
-        return len(self.nodes)
-
-    def ascii(self) -> str:
-        """Render the cycle as a string of ``●``/``o``, first node leftmost."""
-        return "".join("●" if b else "o" for b in self.nodes)
-
-
-def to_kac_diagram(rep: ThetaRep) -> KacDiagram:
-    """Encode ``rep`` as a node cycle; requires every multiplicity >= 1."""
     if min(rep.r) < 1:
         raise ValueError("cannot encode a zero multiplicity as a diagram arc")
-    nodes: list[bool] = []
-    for x in rep.r:
-        nodes.append(True)
-        nodes.extend([False] * (x - 1))
-    return KacDiagram(tuple(nodes))
-
-
-def from_kac_diagram(diagram: KacDiagram) -> ThetaRep:
-    """Read the multiplicity vector off the arcs between black nodes."""
-    blacks = [i for i, b in enumerate(diagram.nodes) if b]
-    m = len(blacks)
-    if m < 2:
-        raise ValueError("diagram encodes an order < 2 grading")
-    n = diagram.n
-    r = []
-    for idx, start in enumerate(blacks):
-        nxt = blacks[(idx + 1) % m]
-        r.append((nxt - start) % n)
-    return ThetaRep(m, tuple(r))
+    return "".join("●" + "o" * (x - 1) for x in rep.r)
 
 
 def rotations(r: tuple[int, ...]):

@@ -79,16 +79,9 @@ class TestBuild:
 
     def test_element_range_check(self):
         cent = build_centralizer(EX_332, 3)
-        assert cent.element(2, 1, 2) == xi(2, 1, 2)
-        with pytest.raises(ValueError):
-            cent.element(2, 1, 1)  # below max(d_1 - d_2, 0) = 2
-        with pytest.raises(ValueError):
-            cent.element(1, 1, 5)  # above d_1 = 4
-
-    def test_describe_lists_every_degree(self):
-        text = build_centralizer(EX_332, 3).describe()
-        assert "degree 0" in text and "degree 2" in text
-        assert "xi_2^{1,3}" in text
+        assert cent.in_range(2, 1, 2)
+        assert not cent.in_range(2, 1, 1)  # below max(d_1 - d_2, 0) = 2
+        assert not cent.in_range(1, 1, 5)  # above d_1 = 4
 
 
 class TestBracket:

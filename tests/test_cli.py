@@ -469,6 +469,22 @@ class TestIndexFileCommand:
         assert code == 1
         assert "line 1" in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "index-file", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_document_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff{}")
+        code, _, err = run_cli(capsys, "index-file", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "0xff" in err
+        assert "Traceback" not in err
+
     def test_schema_error_location(self, capsys, tmp_path):
         path = self.write(tmp_path, {"dim_q": 2, "dim_v": 2,
                                      "brackets": [[0, 0, 9, 1, 1]]})

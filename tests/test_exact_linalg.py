@@ -405,6 +405,12 @@ class TestIntegerRows:
         with pytest.raises(ValueError, match="out of range"):
             LinearFormMatrix([[{-1: 1}, {0: 1}]], 2)
 
+    def test_cols_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="a row has 1 entries, expected 3"):
+            LinearFormMatrix([[{}]], 1, cols=3)
+        assert LinearFormMatrix([[{}]], 1, cols=1).cols == 1
+        assert LinearFormMatrix([], 1, cols=3).cols == 3
+
     def test_zero_coefficients_are_never_stored(self):
         # a stored zero would be a nonzero Bareiss pivot and an independent
         # row to ground_field_reduce

@@ -175,6 +175,12 @@ class TestCheckRep:
         assert len(calls) == 1
         assert report.undecided_orbits
 
+    def test_negative_certification_cap_is_rejected(self):
+        # read as a slice, -1 would certify one of the two queued classes
+        # and leave the other undecided
+        with pytest.raises(ValueError, match="max_certifications must be >= 0, got -1"):
+            check_rep(ThetaRep.of(3, 3, 3, 1), max_certifications=-1)
+
     def test_certify_all_certifies_every_orbit(self):
         # each shift class is certified on a transversal slice; over all s
         # indeterminates, the class of 2^0 2^0 2^0 1^2 1^2 1^2 alone ran

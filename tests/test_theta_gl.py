@@ -1,15 +1,11 @@
 """Multiplicity vectors, Kac diagrams, transforms, pattern predicates."""
 
-from itertools import product
-
 import pytest
 
 from helpers import all_reps, brute_force_graded_dims
 from thetagib import (
-    KacDiagram,
     ThetaRep,
     dual_rep,
-    from_kac_diagram,
     normalize_cyclic,
     pattern_predicates,
     predicted_gib,
@@ -65,45 +61,23 @@ class TestThetaRep:
 class TestKacDiagram:
     def test_nine_node_example(self):
         # cycle: black, white, white, black, white, white, black, black, white
-        nodes = (True, False, False, True, False, False, True, True, False)
-        assert from_kac_diagram(KacDiagram(nodes)) == ThetaRep.of(3, 3, 1, 2)
-        assert to_kac_diagram(ThetaRep.of(3, 3, 1, 2)).nodes == nodes
-        assert to_kac_diagram(ThetaRep.of(3, 3, 1, 2)).ascii() == "●oo●oo●●o"
+        assert to_kac_diagram(ThetaRep.of(3, 3, 1, 2)) == "●oo●oo●●o"
 
     def test_all_black_cycle_is_a_torus(self):
         for n in range(2, 7):
-            rep = from_kac_diagram(KacDiagram((True,) * n))
-            assert rep == ThetaRep(n, (1,) * n)
-
-    def test_all_white_rejected(self):
-        with pytest.raises(ValueError):
-            KacDiagram((False, False, False))
-
-    def test_single_black_rejected(self):
-        with pytest.raises(ValueError):
-            from_kac_diagram(KacDiagram((True, False, False)))
+            assert to_kac_diagram(ThetaRep(n, (1,) * n)) == "●" * n
 
     def test_zero_multiplicity_cannot_encode(self):
         with pytest.raises(ValueError):
             to_kac_diagram(ThetaRep.of(2, 0, 1))
 
-    def test_round_trip_all_diagrams_up_to_n8(self):
-        # diagram -> rep -> diagram is the identity up to rotation
-        for n in range(2, 9):
-            for bits in product((False, True), repeat=n):
-                if sum(bits) < 2:
-                    continue
-                rep = from_kac_diagram(KacDiagram(bits))
-                back = to_kac_diagram(rep).nodes
-                rots = {bits[i:] + bits[:i] for i in range(n)}
-                assert back in rots
-
-    def test_round_trip_all_reps_up_to_n8(self):
+    def test_arcs_are_the_multiplicities(self):
+        # each black node opens an arc of one plus the white nodes after it
         for rep in all_reps(8, 8):
             if min(rep.r) < 1:
                 continue
-            got = from_kac_diagram(to_kac_diagram(rep))
-            assert got.r in set(rotations(rep.r))
+            arcs = to_kac_diagram(rep).split("●")[1:]
+            assert tuple(1 + len(arc) for arc in arcs) == rep.r
 
 
 class TestTransforms:
