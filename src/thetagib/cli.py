@@ -31,10 +31,11 @@ from .index_engine import (
     index_of_matrix,
     parse_action_document,
 )
-from .orbits import all_nilpotent_orbits
+from .orbits import LabeledPartition, all_nilpotent_orbits, dihedral_images, dihedral_maps
 from .theta_gl import (
     PatternFlags,
     ThetaRep,
+    dual_rep,
     pattern_predicates,
     predicted_gib,
     rotations,
@@ -104,8 +105,27 @@ def sweep_reps(spec: SweepSpec) -> list[ThetaRep]:
     return reps
 
 
-def row_from_report(report: GibReport) -> ClassificationRow:
-    rep = report.rep
+def _dihedral_class(rep: ThetaRep) -> tuple[int, ...]:
+    """The least rotation of r or of its reflection ``dual_rep(r)``."""
+    return min(min(rotations(rep.r)), min(rotations(dual_rep(rep).r)))
+
+
+def row_from_report(report: GibReport, rep: ThetaRep | None = None) -> ClassificationRow:
+    """The sweep row of ``rep``, by default ``report.rep``.
+
+    ``rep`` may be any grading in the dihedral class of ``report.rep``: a
+    symmetry carrying one onto the other preserves every orbit's index (see
+    ``gib_checker``), so the report's bad orbits are mapped into ``rep``
+    and listed in canonical order.
+    """
+    if rep is None:
+        rep = report.rep
+    maps = dihedral_maps(report.rep.r, rep.r)[:1]
+    if not maps:
+        raise ValueError(f"{rep} is not a rotation or reflection of {report.rep}")
+    bad = sorted((LabeledPartition(image) for orbit in report.bad_orbits
+                  for image in dihedral_images(orbit.blocks, rep.m, maps)),
+                 key=LabeledPartition.sort_key)
     prediction = predicted_gib(rep)
     if prediction is None or report.rep_gib is None:
         agreement = None
@@ -117,7 +137,7 @@ def row_from_report(report: GibReport) -> ClassificationRow:
         rank=report.rank,
         orbit_count=report.orbit_count,
         rep_gib=report.rep_gib,
-        bad_orbits=tuple(p.to_text() for p in report.bad_orbits),
+        bad_orbits=tuple(p.to_text() for p in bad),
         flags=pattern_predicates(rep),
         prediction=prediction,
         agreement=agreement,
@@ -136,19 +156,27 @@ def sweep(spec: SweepSpec, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
           jobs: int = 1) -> list[ClassificationRow]:
     """Classify every grading in range; rows come back in deterministic order.
 
-    ``jobs`` worker processes split the gradings between them; it must be
-    at least 1.
+    Gradings that a rotation or reflection carries onto each other have the
+    same verdict, so ``check_rep`` runs once per dihedral class, on its
+    first grading in row order, and every other row of the class is built
+    from that report.  ``jobs`` worker processes split those class
+    representatives between them; it must be at least 1.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     reps = sweep_reps(spec)
-    tasks = [(rep, trials, seed, certify_all, max_terms, cert_timeout) for rep in reps]
+    firsts: dict[tuple[int, ...], ThetaRep] = {}
+    for rep in reps:
+        firsts.setdefault(_dihedral_class(rep), rep)
+    tasks = [(rep, trials, seed, certify_all, max_terms, cert_timeout)
+             for rep in firsts.values()]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_check_rep_task, tasks))
     else:
         reports = [_check_rep_task(t) for t in tasks]
-    return [row_from_report(rep) for rep in reports]
+    by_class = dict(zip(firsts, reports))
+    return [row_from_report(by_class[_dihedral_class(rep)], rep) for rep in reps]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +387,8 @@ def _cmd_index_file(args) -> int:
         print(f"error: {args.path}: invalid JSON at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
-    except (RecursionError, UnicodeDecodeError) as exc:  # nested too deep, not UTF-8
+    # nested too deep, not UTF-8, or an integer literal past the digit limit
+    except (RecursionError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
     try:

@@ -33,14 +33,31 @@ the expensive step 5, collecting suspicious orbits from the cheap pass and
 certifying them smallest-matrix-first until all are resolved, so a FALSE
 report always names every bad orbit with a rank certificate.
 
-The driver also computes each orbit once per label-shift class.  Adding c
-to every block label leaves each degree s + t(j) - t(i) mod m unchanged, and
-the shifted partition lies in the same grading when c is a multiple of the
-rotation period of r, which also keeps min(r).  Re-sorting the shifted
-blocks into canonical order only permutes block indices, hence the rows and
-columns of the action matrix and its indeterminates with the columns, so
-the generic rank, the index and the verdict are equal.  The first orbit of
-each class in canonical order is computed; the others reuse its result.
+The driver also computes each orbit once per dihedral class: the orbits
+that a symmetry of r, a rotation or a reflection of the residues mod m,
+carries onto each other have the same index and verdict.
+
+  * Rotation by c maps a block (l, t) to (l, t + c).  Adding c to every
+    label leaves each degree s + t(j) - t(i) mod m unchanged, and the image
+    lies in the grading r_{x-c}; that is r itself when r_{x-c} = r_x for
+    all x, which also keeps min(r).
+  * Reflection with c maps a block (l, t) to (l, c - t - l + 1).  The map
+    X -> -X^T is an automorphism of gl_n.  Written on the dual basis, it
+    sends the eigenspace of residue x to residue -x, so it carries each
+    g_i of the grading r onto the g_i of dual_rep(r): G_0 and g_1 onto
+    theirs, e onto -e^T, and the degree -1 part of z(e) onto that of
+    z(-e^T).  A Jordan chain of e covering the residues t, ..., t + l - 1
+    becomes one of -e^T covering -(t + l - 1), ..., -t, so the image block
+    in dual_rep(r) is (l, -(t + l - 1)); a rotation by c follows.  The
+    image lies in the grading r_{c-x}, which is r itself when
+    r_{c-x} = r_x for all x.
+
+Both maps are isomorphisms of graded Lie algebras, so the index is equal,
+and re-sorting the image blocks into canonical order only permutes the
+rows, columns and indeterminates of the action matrix.  The driver keys
+each orbit on the least canonical block tuple among its images under the
+symmetries of r (``orbits.dihedral_images``).  The first orbit of each
+class in canonical order is computed; the others reuse its result.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ from .index_engine import (  # the DECIDED_BY_* names are read from here too
     slice_rank,
     validate_budget,
 )
-from .orbits import LabeledPartition, all_nilpotent_orbits
+from .orbits import LabeledPartition, all_nilpotent_orbits, dihedral_images, dihedral_maps
 from .theta_gl import ThetaRep
 
 
@@ -125,7 +142,7 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
 
 
 class _OrbitJob:
-    """A shift class's representative between the cheap pass and the certify queue."""
+    """A dihedral class's representative between the cheap pass and the certify queue."""
 
     __slots__ = ("orbit", "dim_stab", "matrix", "result", "reduced")
 
@@ -139,17 +156,6 @@ class _OrbitJob:
         self.reduced = reduced
 
 
-def _rotation_period(r: tuple[int, ...]) -> int:
-    """Smallest d >= 1 with r rotated by d equal to r; it divides len(r)."""
-    return next(d for d in range(1, len(r) + 1) if r[d:] + r[:d] == r)
-
-
-def _shift_class(orbit: LabeledPartition, m: int, period: int) -> tuple:
-    """Least canonical block tuple among the in-grading label shifts of ``orbit``."""
-    return min(LabeledPartition(tuple((l, (t + c) % m) for l, t in orbit.blocks)).blocks
-               for c in range(0, m, period))
-
-
 def _queue_key(job: _OrbitJob) -> tuple:
     """Certify order: smallest reduced matrix first (unreduced if a bound match skipped it)."""
     size = job.matrix if job.reduced is None else job.reduced
@@ -159,13 +165,13 @@ def _queue_key(job: _OrbitJob) -> tuple:
 def _verdicts(rep: ThetaRep, orbits: list[LabeledPartition], *, trials: int, seed: int,
               certify_all: bool, max_terms: int, max_certifications: int | None,
               cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
-    """The verdicts of ``orbits``: a cheap pass per shift class, then the certify queue."""
+    """The verdicts of ``orbits``: a cheap pass per dihedral class, then the certify queue."""
     rank = rep.rank()
-    period = _rotation_period(rep.r)
-    jobs: dict[tuple, _OrbitJob] = {}  # shift class -> its representative's job
+    symmetries = dihedral_maps(rep.r, rep.r)
+    jobs: dict[tuple, _OrbitJob] = {}  # dihedral class -> its representative's job
     members: list[tuple[LabeledPartition, _OrbitJob]] = []
     for orbit in orbits:
-        key = _shift_class(orbit, rep.m, period)
+        key = min(dihedral_images(orbit.blocks, rep.m, symmetries))
         job = jobs.get(key)
         if job is None:
             cent = build_centralizer(orbit, rep.m)
@@ -200,13 +206,14 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
               cert_timeout: float | None = None) -> GibReport:
     """Verdict for a grading: the per-orbit procedure over all its orbits.
 
-    Orbits that differ by a label shift keeping the grading are computed
-    once (see the module docstring): the first of each class in canonical
-    order is its representative, and every verdict names the representative
-    it reuses as ``computed_as``.  The cheap pass (probabilistic rank, bound
-    match, reduced shape) runs first over every representative; those it
-    leaves undecided are certified in order of reduced matrix size, so the
-    expensive symbolic eliminations happen on the smallest matrices first.
+    Orbits that a rotation or reflection keeping the grading carries onto
+    each other are computed once (see the module docstring): the first of
+    each class in canonical order is its representative, and every verdict
+    names the representative it reuses as ``computed_as``.  The cheap pass
+    (probabilistic rank, bound match, reduced shape) runs first over every
+    representative; those it leaves undecided are certified in order of
+    reduced matrix size, so the expensive symbolic eliminations happen on
+    the smallest matrices first.
     ``max_certifications`` caps the number of certification *attempts*, a
     run that exceeds ``max_terms`` or ``cert_timeout`` seconds included;
     classes past the cap stay undecided.  Without a cap every suspicious

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from .theta_gl import ThetaRep
 
 
+def _canonical(block: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a block in canonical order: length descending, label ascending."""
+    return -block[0], block[1]
+
+
 @dataclass(frozen=True)
 class LabeledPartition:
     """Multiset of (block length, label) pairs in canonical order.
@@ -27,7 +32,7 @@ class LabeledPartition:
 
     def __post_init__(self):
         blocks = tuple(sorted(((int(l), int(t)) for l, t in self.blocks),
-                              key=lambda b: (-b[0], b[1])))
+                              key=_canonical))
         if any(l < 1 or t < 0 for l, t in blocks):
             raise ValueError("blocks need length >= 1 and label >= 0")
         object.__setattr__(self, "blocks", blocks)
@@ -82,6 +87,36 @@ def _block_usage(length: int, label: int, m: int) -> list[int]:
     for j in range(length % m):
         use[(label + j) % m] += 1
     return use
+
+
+def dihedral_maps(r: tuple[int, ...], target: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The residue maps x -> sign*x + c (mod m) that carry grading r onto ``target``.
+
+    Each is a pair (sign, c) with sign +1 (a rotation) or -1 (a reflection)
+    and 0 <= c < m, listed rotations first and by c; the map is allowed
+    when target[sign*x + c] = r[x] for every residue x.  With
+    ``target == r`` they are the symmetries of r, the identity (1, 0) first.
+    """
+    m = len(r)
+    return [(sign, c) for sign in (1, -1) for c in range(m)
+            if all(target[(sign * x + c) % m] == r[x] for x in range(m))]
+
+
+def dihedral_images(blocks, m: int, maps):
+    """Yield the canonical block tuple of ``blocks`` under each of ``maps``.
+
+    A block (l, t) covers the residues t, ..., t + l - 1.  A rotation by c
+    maps it to (l, t + c); a reflection with c maps those residues onto
+    c - t - l + 1, ..., c - t, so to the block (l, c - t - l + 1).  Labels
+    are taken mod m, and no ``LabeledPartition`` is built.
+    """
+    for sign, c in maps:
+        if sign == 1:
+            image = [(l, (t + c) % m) for l, t in blocks]
+        else:
+            image = [(l, (c - t - l + 1) % m) for l, t in blocks]
+        image.sort(key=_canonical)
+        yield tuple(image)
 
 
 def zero_orbit(rep: ThetaRep) -> LabeledPartition:

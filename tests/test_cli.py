@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -103,7 +104,7 @@ class TestCheckCommand:
         assert code == 0
         computed_as = {o["orbit"]: o["computed_as"] for o in json.loads(out)["orbits"]}
         assert len(computed_as) == 192
-        assert len(set(computed_as.values())) == 66
+        assert len(set(computed_as.values())) == 51
         for bad in ("5^0 3^1 1^2", "5^1 3^2 1^0", "5^2 3^0 1^1"):
             assert computed_as[bad] == "5^0 3^1 1^2"
 
@@ -227,6 +228,51 @@ class TestSweepCommand:
         for row in json.loads(full):
             assert verdicts[min(rots(tuple(row["r"])))] == row["rep_gib"]
         assert len(json.loads(full)) > len(json.loads(deduped))
+
+    @pytest.mark.parametrize("n_min, n_max, m", [(3, 10, 3), (4, 8, 4)])
+    def test_reused_reports_list_the_golden_bad_orbits(self, n_min, n_max, m):
+        # a grading whose report is reused from its reflection lists the
+        # mapped bad orbits in the order check_rep on it would
+        from test_golden_verdicts import load_golden
+
+        golden = {tuple(g["r"]): list(g["off_bound"]) for g in load_golden()}
+        rows = sweep(SweepSpec(n_min, n_max, m, m))
+        assert rows
+        for row in rows:
+            assert list(row.bad_orbits) == golden[row.r], row.r
+
+    def test_rows_match_one_check_rep_per_grading(self):
+        spec = SweepSpec(3, 6, 3, 3, dedup_cyclic=False)
+        assert sweep(spec) == [row_from_report(check_rep(rep)) for rep in sweep_reps(spec)]
+
+    @pytest.mark.parametrize("source, target", [((3, 3, 4), (3, 4, 3)),
+                                                ((2, 2, 2, 3), (2, 2, 3, 2)),
+                                                ((3, 3, 2), (2, 3, 3))])
+    def test_mapped_report_gives_the_target_row(self, source, target):
+        # mapping the 11 bad orbits of (3,3,4) and the 4 of (2,2,2,3) by
+        # label rotation changes their order; the row lists them canonically
+        mapped = row_from_report(check_rep(ThetaRep.of(*source)), ThetaRep.of(*target))
+        assert mapped == row_from_report(check_rep(ThetaRep.of(*target)))
+        assert mapped.bad_orbits
+
+    def test_report_maps_only_within_its_dihedral_class(self):
+        with pytest.raises(ValueError, match="not a rotation or reflection"):
+            row_from_report(check_rep(ThetaRep.of(1, 2, 3)), ThetaRep.of(2, 2, 2))
+
+    def test_one_check_rep_per_dihedral_class(self, monkeypatch):
+        import thetagib.cli as cli
+
+        checked = []
+
+        def counted(rep, **kwargs):
+            checked.append(rep.r)
+            return check(rep, **kwargs)
+
+        check = cli.check_rep
+        monkeypatch.setattr(cli, "check_rep", counted)
+        rows = sweep(SweepSpec(3, 10, 3, 3)) + sweep(SweepSpec(4, 8, 4, 4))
+        assert (len(rows), len(checked)) == (62, 48)
+        assert (1, 2, 3) in checked and (1, 3, 2) not in checked
 
     def test_jobs_parallel_matches_serial(self, capsys):
         code1, out1, _ = run_cli(capsys, "sweep", "--n", "5:6", "--m", "3",
@@ -483,6 +529,16 @@ class TestIndexFileCommand:
         code, _, err = run_cli(capsys, "index-file", str(path))
         assert code == 1
         assert err.startswith(f"error: {path}: ") and "0xff" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no integer string limit")
+    def test_integer_literal_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"dim_q": ' + "1" * 5000 + ', "dim_v": 1}')
+        code, _, err = run_cli(capsys, "index-file", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "integer string conversion" in err
         assert "Traceback" not in err
 
     def test_schema_error_location(self, capsys, tmp_path):

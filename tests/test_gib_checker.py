@@ -10,6 +10,7 @@ from thetagib.gib_checker import (
     DECIDED_BY_REDUCED_SHAPE,
 )
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
+from thetagib.theta_gl import dual_rep
 
 
 class TestCheckOrbit:
@@ -199,12 +200,27 @@ class TestCheckRep:
         assert [v.gib for v in a.verdicts] == [v.gib for v in b.verdicts]
 
 
-def _in_grading_shifts(rep: ThetaRep, orbit: LabeledPartition):
-    """Every nonzero label shift of ``orbit`` that stays inside ``rep``."""
-    for c in range(1, rep.m):
-        shifted = LabeledPartition(tuple((l, (t + c) % rep.m) for l, t in orbit.blocks))
-        if shifted.valid_for(rep):
-            yield c, shifted
+def _in_grading_symmetries(rep: ThetaRep, orbit: LabeledPartition):
+    """Every image of ``orbit`` other than itself under a map that stays inside ``rep``.
+
+    Yields (plain, image): the mapped blocks before and after canonical
+    sorting.  Rotation by c maps a block (l, t) to (l, t + c); reflection
+    with c maps it to (l, c - t - l + 1), the block covering the reflected
+    residues c - t - l + 1, ..., c - t.  A map is kept when its image is a
+    partition of ``rep`` itself.
+    """
+    m = rep.m
+    for c in range(m):
+        for plain in ([(l, (t + c) % m) for l, t in orbit.blocks],
+                      [(l, (c - t - l + 1) % m) for l, t in orbit.blocks]):
+            image = LabeledPartition(tuple(plain))
+            if image != orbit and image.valid_for(rep):
+                yield tuple(plain), image
+
+
+def _reflected(orbit: LabeledPartition, m: int) -> LabeledPartition:
+    """The image of ``orbit`` under X -> -X^T, in the grading ``dual_rep``."""
+    return LabeledPartition(tuple((l, -(t + l - 1) % m) for l, t in orbit.blocks))
 
 
 def _outcome(v):
@@ -212,30 +228,52 @@ def _outcome(v):
 
 
 class TestShiftClasses:
+    """Rotations and reflections that keep the grading: one computation per class."""
+
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), (2, 3, 2, 3)])
     def test_shifted_orbits_have_equal_verdicts(self, r):
         rep = ThetaRep.of(*r)
         resorted = 0
         for orbit in all_nilpotent_orbits(rep):
             base = _outcome(check_orbit(rep, orbit))
-            for c, shifted in _in_grading_shifts(rep, orbit):
-                plain = tuple((l, (t + c) % rep.m) for l, t in orbit.blocks)
-                resorted += plain != shifted.blocks
-                assert _outcome(check_orbit(rep, shifted)) == base, (orbit, shifted)
+            for plain, image in _in_grading_symmetries(rep, orbit):
+                resorted += plain != image.blocks
+                assert _outcome(check_orbit(rep, image)) == base, (orbit, image)
         assert resorted > 0
+
+    @pytest.mark.parametrize("r", [(3, 3, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2),
+                                   (1, 2, 2, 2, 1, 0)])
+    def test_reflected_orbits_have_equal_verdicts(self, r):
+        # X -> -X^T carries each orbit of r onto one of dual_rep(r); both
+        # sides are computed from scratch, with no class shared
+        rep = ThetaRep.of(*r)
+        dual = dual_rep(rep)
+        orbits = all_nilpotent_orbits(rep)
+        images = [_reflected(o, rep.m) for o in orbits]
+        assert sorted(images, key=LabeledPartition.sort_key) == all_nilpotent_orbits(dual)
+        for orbit, image in zip(orbits, images):
+            assert _outcome(check_orbit(rep, orbit)) == \
+                _outcome(check_orbit(dual, image)), (orbit, image)
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2)])
     def test_check_rep_agrees_with_check_orbit(self, r):
         rep = ThetaRep.of(*r)
         report = cached_check_rep(r)
         assert [v.orbit for v in report.verdicts] == all_nilpotent_orbits(rep)
+        reflected_only = 0
         for v in report.verdicts:
             assert _outcome(v) == _outcome(check_orbit(rep, v.orbit)), v.orbit
             if v.computed_as != v.orbit:
                 assert v.computed_as.sort_key() < v.orbit.sort_key()
-                assert v.computed_as in {s for _, s in _in_grading_shifts(rep, v.orbit)}
+                images = {image for _, image in _in_grading_symmetries(rep, v.orbit)}
+                assert v.computed_as in images
+                shifts = {LabeledPartition(tuple((l, (t + c) % rep.m)
+                                                 for l, t in v.orbit.blocks))
+                          for c in range(rep.m)}
+                reflected_only += v.computed_as not in shifts
+        assert reflected_only > 0
 
-    @pytest.mark.parametrize("r, calls", [((3, 3, 3), 66), ((2, 2, 2, 2), 43),
+    @pytest.mark.parametrize("r, calls", [((3, 3, 3), 51), ((2, 2, 2, 2), 36),
                                           ((2, 3, 4), 105)])
     def test_one_probabilistic_rank_per_class(self, monkeypatch, r, calls):
         import thetagib.gib_checker as gc
@@ -251,7 +289,7 @@ class TestShiftClasses:
         report = check_rep(ThetaRep.of(*r))
         assert len(counted) == calls
         assert len({v.computed_as for v in report.verdicts}) == calls
-        if r == (2, 3, 4):  # no rotational symmetry: nothing is shared
+        if r == (2, 3, 4):  # no rotation or reflection keeps it: nothing is shared
             assert calls == report.orbit_count
             assert all(v.computed_as == v.orbit for v in report.verdicts)
 
@@ -269,7 +307,7 @@ class TestShiftClasses:
         # the time limit cuts the 18x18 eliminations near the zero orbit
         # short; a cut attempt still counts, and its cheaper proof stands
         report = check_rep(ThetaRep.of(3, 3, 3), certify_all=True, cert_timeout=0.05)
-        assert len(counted) == 66
+        assert len(counted) == 51
         certified = [v for v in report.verdicts if v.decided_by == DECIDED_BY_CERTIFIED_RANK]
         assert len(certified) > report.orbit_count // 2
         assert [v.gib for v in report.verdicts] == \
@@ -298,15 +336,15 @@ class TestShiftClasses:
         report = check_rep(ThetaRep.of(3, 3, 3), certify_all=certify_all,
                            cert_timeout=0.05 if certify_all else None)
         reps = {v.computed_as: v for v in report.verdicts if v.computed_as == v.orbit}
-        assert len(built) == len(reps) == 66
+        assert len(built) == len(reps) == 51
         times = [sum(r is m for r in reduced) for m in built]
         if certify_all:
-            assert times == [1] * 66
+            assert times == [1] * 51
         else:
             # classes are built in canonical order, as their representatives
             matched = [reps[o].decided_by == DECIDED_BY_BOUND_MATCH for o in sorted(
                 reps, key=lambda o: o.sort_key())]
-            assert 0 < sum(matched) < 66
+            assert 0 < sum(matched) < 51
             assert times == [0 if bound else 1 for bound in matched]
         assert len(reduced) == sum(times)
 
@@ -331,7 +369,7 @@ class TestShiftClasses:
         assert ceilings and all(c >= 0 for c in ceilings)
 
     def test_bound_matched_classes_run_one_trial(self, monkeypatch):
-        # on (3,3,3) the first trial of each of the 65 bound-matched classes
+        # on (3,3,3) the first trial of each of the 50 bound-matched classes
         # reaches dim - min(r), and the one other class runs all three
         # trials; a class whose ceiling dim - min(r) is 0 runs none
         import thetagib.exact_linalg as el
@@ -348,8 +386,8 @@ class TestShiftClasses:
         classes = [v for v in report.verdicts if v.computed_as == v.orbit]
         matched = sum(v.decided_by == DECIDED_BY_BOUND_MATCH for v in classes)
         at_zero = sum(v.dim_module == report.rank for v in classes)
-        assert (len(classes), matched, at_zero) == (66, 65, 1)
-        assert len(calls) == matched - at_zero + 3 * (len(classes) - matched) == 67
+        assert (len(classes), matched, at_zero) == (51, 50, 1)
+        assert len(calls) == matched - at_zero + 3 * (len(classes) - matched) == 52
 
     def test_bad_orbits_of_333_share_one_certificate(self):
         report = cached_check_rep((3, 3, 3))
