@@ -1,12 +1,13 @@
 """Exact linear algebra over Q and over the rational function field Q(a_1..a_s).
 
-The central object is a matrix whose entries are homogeneous linear forms in
-indeterminates a_1, ..., a_s, each a dict from an indeterminate's 0-based
-index to its coefficient.  Its *generic rank* (the rank over the function
-field) is what index computations consume.  Scaling a row by a nonzero
-constant keeps that rank, so a matrix stores every row with its denominators
-cleared: all coefficients are ints, and each routine below reads them as
-they are.  Three routines bracket the rank:
+The central object is a matrix of homogeneous linear forms in a_1, ..., a_s,
+stored as sparse integer rows: row i maps the column of each nonzero cell
+to its form, a dict from an indeterminate's 0-based index to its nonzero
+int coefficient.  Every routine below pays for the stored cells; Bareiss
+alone builds a dense working grid.  The *generic rank* (the rank over the
+function field) is what index computations consume.  Row scaling keeps it,
+so a builder with rational data clears each row's denominators.  Three
+routines bracket it:
 
 * ``probabilistic_rank``: evaluate at random points of a large prime field.
   The result is a lower bound for the generic rank and equals it with
@@ -31,8 +32,8 @@ all guard bits, a monomial d divides e exactly when
 its guard bit away, and no borrow crosses into the next field.  Exact
 division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
 
-Matrices share their entries, and no routine modifies an entry or a
-matrix; every routine here is pure, so independent rank computations can
+Matrices share their rows and forms, and no routine modifies a row, a form
+or a matrix; every routine here is pure, so independent rank computations can
 run in parallel without shared state.
 """
 
@@ -41,7 +42,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
-from math import lcm
 from time import monotonic
 from typing import Mapping, Sequence
 
@@ -67,59 +67,54 @@ class ResourceLimitExceeded(Exception):
 class LinearFormMatrix:
     """rows x cols matrix of homogeneous linear forms in s indeterminates.
 
-    Each entry is a dict ``{k: c_k}`` for sum_k c_k * a_(k+1): indeterminates
-    are numbered from 0, and a zero coefficient is never stored, so ``{}`` is
-    the zero form.  The constructor takes any mappings with int or Fraction
-    coefficients and stores each row multiplied by the lcm of its
-    denominators, so every stored coefficient is an int: ``[[{0: 1/2},
-    {1: 1/3}]]`` is kept as ``[[{0: 3}, {1: 2}]]``.  Row scaling keeps the
-    generic rank, and the rank layers then run over Z without rescaling.
-    A row that needs no change keeps its entries, which matrices therefore
-    share; no routine modifies an entry.  ``cols`` sets the column count of
-    a matrix without rows; given with rows, each row must have that many.
+    Row i is the dict ``cells[i] = {j: {k: c_k}}`` of its nonzero cells:
+    the form at column j is sum_k c_k * a_(k+1), indeterminates numbered
+    from 0.  A zero form has no key, and a form holds only nonzero ``int``
+    coefficients, which the constructor checks once per stored cell
+    (``ValueError`` otherwise).  Scaling a row by a nonzero constant keeps
+    the generic rank, so a builder with rational data clears each row's
+    denominators first.  Rows and forms are shared between matrices, and no
+    routine modifies one.
     """
 
-    __slots__ = ("rows", "cols", "num_indeterminates", "entries")
+    __slots__ = ("rows", "cols", "num_indeterminates", "cells")
 
-    def __init__(self, entries: Sequence[Sequence[Mapping[int, int | Fraction]]],
-                 num_indeterminates: int, cols: int | None = None):
-        rows = len(entries)
-        if cols is None:
-            cols = len(entries[0]) if rows else 0
-        grid = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError(f"a row has {len(row)} entries, expected {cols}")
-            # lcm of the row's denominators; clean while every coefficient
-            # is a nonzero int, so that the row can be kept as it is
-            scale, clean = 1, True
-            for e in row:
-                for k, c in e.items():
+    def __init__(self, cells: Sequence[Mapping[int, Mapping[int, int]]],
+                 num_indeterminates: int, cols: int):
+        for row in cells:
+            for j, form in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"column {j} out of range (cols={cols})")
+                if not form:
+                    raise ValueError(f"the zero form is stored at column {j}")
+                for k, c in form.items():
                     if not 0 <= k < num_indeterminates:
-                        raise ValueError(
-                            f"indeterminate index {k} out of range "
-                            f"(s={num_indeterminates})"
-                        )
+                        raise ValueError(f"indeterminate index {k} out of range "
+                                         f"(s={num_indeterminates})")
                     if type(c) is not int or not c:
-                        scale = lcm(scale, c.denominator)
-                        clean = False
-            if not clean:
-                row = [{k: int(c * scale) for k, c in e.items() if c} for e in row]
-            grid.append(tuple(row))
-        self.rows = rows
+                        raise ValueError(f"coefficient {c!r} is not a nonzero int")
+        self.rows = len(cells)
         self.cols = cols
         self.num_indeterminates = num_indeterminates
-        self.entries = tuple(grid)
+        self.cells = tuple(cells)
+
+    @property
+    def entries(self) -> tuple[tuple[Mapping[int, int], ...], ...]:
+        """The dense grid of forms, ``{}`` at each zero cell, built on each read."""
+        zero: dict[int, int] = {}
+        return tuple(tuple(row.get(j, zero) for j in range(self.cols))
+                     for row in self.cells)
 
     def permuted(self, row_order: Sequence[int], col_order: Sequence[int]) -> "LinearFormMatrix":
-        grid = [[self.entries[i][j] for j in col_order] for i in row_order]
-        return LinearFormMatrix(grid, self.num_indeterminates)
+        """The rows ``row_order`` and the distinct columns ``col_order``, in that order."""
+        new_col = {j: t for t, j in enumerate(col_order)}
+        cells = [{new_col[j]: e for j, e in self.cells[i].items() if j in new_col}
+                 for i in row_order]
+        return LinearFormMatrix(cells, self.num_indeterminates, len(col_order))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            "[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries
-        )
-        return f"LinearFormMatrix({self.rows}x{self.cols}, s={self.num_indeterminates}, {body})"
+        return (f"LinearFormMatrix({self.rows}x{self.cols}, s={self.num_indeterminates}, "
+                f"{list(self.cells)})")
 
 
 # ---------------------------------------------------------------------------
@@ -146,60 +141,45 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     that has such a proof may pass one (the orbit driver has dim - min(r));
     a wrong ceiling caps the result silently.
 
-    The work follows the nonzeros: only nonempty cells are evaluated, rows
-    that vanish at the point are dropped, and each pivot row's nonzero
-    columns right of the pivot are listed once, so a row below is updated
-    at those columns only and its pivot-column cell is set to 0.  Pivots
-    are taken column by column, the first remaining row with a nonzero
-    there.
+    The work follows the stored cells: each row is evaluated as a dict
+    ``{col: value mod p}`` of its nonzero values and reduced against the
+    pivot rows found so far, always at its leftmost column, until that
+    column has no pivot row (the row becomes one) or the row is zero.  A
+    pivot row keeps its other values times -1/pivot, so a reduction adds
+    a multiple of them at those columns only.
     """
     limit = _rank_limit(M, ceiling)
     if limit == 0:
         return 0
     p = EVAL_PRIME
-    ncols = M.cols
-    m = []
-    for row in M.entries:
-        vals = [0] * ncols
-        nonzero = False
-        for j, e in enumerate(row):
-            if e:
-                v = 0
-                for k, c in e.items():
-                    v += c * point[k]
-                v %= p
-                if v:
-                    vals[j] = v
-                    nonzero = True
-        if nonzero:
-            m.append(vals)
-    nrows = len(m)
+    pivots: dict[int, list[tuple[int, int]]] = {}  # leftmost column -> scaled rest
     rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
+    for row in M.cells:
+        vals = {}
+        for j, e in row.items():
+            v = 0
+            for k, c in e.items():
+                v += c * point[k]
+            v %= p
+            if v:
+                vals[j] = v
+        while vals:
+            col = min(vals)
+            f = vals.pop(col)
+            prow = pivots.get(col)
+            if prow is None:
+                neg_inv = p - pow(f, -1, p)
+                pivots[col] = [(c, v * neg_inv % p) for c, v in vals.items()]
+                rank += 1
+                if rank == limit:
+                    return rank
                 break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        rank += 1
-        if rank == limit:
-            break
-        # row r below gets mr[c] - (mr[col] / prow[col]) * prow[c] at each
-        # c in the pivot row's support, as mr[c] + mr[col] * scaled
-        neg_inv = p - pow(prow[col], -1, p)
-        support = [(c, v * neg_inv % p) for c in range(col + 1, ncols)
-                   if (v := prow[c])]
-        for r in range(rank, nrows):
-            mr = m[r]
-            f = mr[col]
-            if f:
-                for c, scaled in support:
-                    mr[c] = (mr[c] + f * scaled) % p
-                mr[col] = 0
+            for c, scaled in prow:
+                v = (vals.get(c, 0) + f * scaled) % p
+                if v:
+                    vals[c] = v
+                else:
+                    del vals[c]
     return rank
 
 
@@ -267,27 +247,28 @@ def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
     return keep
 
 
-def _row_vector(row: Sequence[dict[int, int]], s: int) -> dict[int, int]:
-    vec = {}
-    for j, e in enumerate(row):
-        for k, c in e.items():
-            vec[j * s + k] = c
-    return vec
-
-
 def ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
     """Drop rows and columns until both are Q-bases of their spans.
 
     Rows are read as coefficient vectors in Q^(cols*s); a maximal linearly
     independent subset spans the same row space over Q, hence over Q(a), so
-    the generic rank is unchanged.  The same is then applied to columns.
+    the generic rank is unchanged.  The same is then applied to columns,
+    read off one pass over the kept rows' cells.
     """
     s = M.num_indeterminates
-    row_keep = _independent_indices([_row_vector(row, s) for row in M.entries])
-    kept_rows = [M.entries[i] for i in row_keep]
-    col_keep = _independent_indices([_row_vector(col, s) for col in zip(*kept_rows)])
-    grid = [[row[j] for j in col_keep] for row in kept_rows]
-    return LinearFormMatrix(grid, s)
+    row_keep = _independent_indices([{j * s + k: c for j, e in row.items() for k, c in e.items()}
+                                     for row in M.cells])
+    kept_rows = [M.cells[i] for i in row_keep]
+    columns: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(kept_rows):
+        for j, e in row.items():
+            columns.setdefault(j, {}).update((i * s + k, c) for k, c in e.items())
+    nonzero = sorted(columns)  # a zero column is never independent
+    keep = _independent_indices([columns[j] for j in nonzero])
+    col_keep = {nonzero[t]: new for new, t in enumerate(keep)}
+    cells = [{col_keep[j]: e for j, e in row.items() if j in col_keep}
+             for row in kept_rows]
+    return LinearFormMatrix(cells, s, len(col_keep))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +433,6 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     # at step r every cell is homogeneous of degree r + 1, so no numerator
     # formed before a division has degree above 2 * min(rows, cols)
     width, guard = _packing(s, 2 * min(reduced.rows, reduced.cols))
-    grid = [[{1 << ((s - 1 - k) * width): c for k, c in e.items()} for e in row]
-            for row in reduced.entries]
+    grid = [[{1 << ((s - 1 - k) * width): c for k, c in row.get(j, {}).items()}
+             for j in range(reduced.cols)] for row in reduced.cells]
     return _bareiss_rank(grid, guard, max_terms, deadline)

@@ -172,9 +172,9 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     s = matrix.cols
     if matrix.num_indeterminates != s:
         raise ValueError("an action matrix has one indeterminate per column")
-    at_point = [{j: v for j, e in enumerate(row)
+    at_point = [{j: v for j, e in row.items()
                  if (v := sum(c * point[k] for k, c in e.items()))}
-                for row in matrix.entries]
+                for row in matrix.cells]
     n = len(at_point)
     chosen = _independent_indices(at_point + [{k: 1} for k in range(s)])
     complement = [i - n for i in chosen if i >= n]  # J
@@ -183,15 +183,17 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     # a rank over F_p is at most the rank over Q, which is at most len(rest)
     if rank_at_point_mod(matrix.permuted(range(n), rest), point) != len(rest):
         raise ValueError("the unit vectors do not complete the orbit tangent to Q^s")
-    grid = []
-    for row in reduced.entries:
-        sliced = []
-        for e in row:
-            coeffs = {0: sum(c * point[k] for k, c in e.items() if k not in var)}
-            coeffs.update((var[k], c) for k, c in e.items() if k in var)
-            sliced.append(coeffs)
-        grid.append(sliced)
-    return LinearFormMatrix(grid, len(var) + 1, cols=reduced.cols)
+    cells = []
+    for row in reduced.cells:
+        sliced = {}
+        for j, e in row.items():
+            b0 = sum(c * point[k] for k, c in e.items() if k not in var)
+            form = {0: b0} if b0 else {}
+            form.update((var[k], c) for k, c in e.items() if k in var)
+            if form:
+                sliced[j] = form
+        cells.append(sliced)
+    return LinearFormMatrix(cells, len(var) + 1, reduced.cols)
 
 
 def slice_rank(matrix: LinearFormMatrix, reduced: LinearFormMatrix, max_terms: int,
@@ -231,14 +233,11 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     order also fixes the indeterminate numbering, a_k being dual to the k-th
     module basis element.
     """
-    tensor = cent.action_structure_constants()
-    nrows = len(cent.by_degree[0])
+    cells: list[dict[int, dict[int, int]]] = [{} for _ in cent.by_degree[0]]
+    for (i, j), entry in cent.action_structure_constants().items():
+        cells[i][j] = entry
     ncols = len(cent.by_degree[cent.m - 1])
-    zero: dict[int, int] = {}  # every empty cell shares it; entries are never modified
-    grid = [[zero] * ncols for _ in range(nrows)]
-    for (i, j), entry in tensor.items():
-        grid[i][j] = entry
-    return LinearFormMatrix(grid, ncols)
+    return LinearFormMatrix(cells, ncols, ncols)
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
@@ -328,19 +327,18 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
     for i, j, k, num, den in brackets:
         entry = rows[i].setdefault(j, {})
         entry[k] = entry.get(k, 0) + num * (row_lcm[i] // den)
-    zero: dict[int, int] = {}  # every empty cell shares it; entries are never modified
-    grid = [[zero] * dim_v for _ in range(dim_q)]
-    for i, cells in rows.items():
-        cells = {j: kept for j, entry in cells.items()
-                 if (kept := {k: c for k, c in entry.items() if c})}
-        content = gcd(*(c for entry in cells.values() for c in entry.values()))
-        row = grid[i]
-        for j, entry in cells.items():
-            row[j] = entry if content == 1 else {k: c // content for k, c in entry.items()}
+    empty: dict[int, dict[int, int]] = {}  # every row without brackets shares it
+    cells = [empty] * dim_q
+    for i, row in rows.items():
+        row = {j: kept for j, entry in row.items()
+               if (kept := {k: c for k, c in entry.items() if c})}
+        content = gcd(*(c for entry in row.values() for c in entry.values()))
+        cells[i] = row if content < 2 else {j: {k: c // content for k, c in entry.items()}
+                                            for j, entry in row.items()}
     declared = None
     if "rank" in doc:
         declared = _require_int(doc, "rank")
-    return LinearFormMatrix(grid, dim_v, cols=dim_v), declared
+    return LinearFormMatrix(cells, dim_v, dim_v), declared
 
 
 def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> dict:

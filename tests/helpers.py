@@ -11,6 +11,7 @@ accumulating ``Fraction`` coefficients.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import numpy as np
 import sympy
@@ -155,8 +156,8 @@ def _sympy_matrix(matrix: LinearFormMatrix) -> sympy.Matrix:
 
     def entry(i, j):
         total = sympy.Integer(0)
-        for k, c in matrix.entries[i][j].items():
-            total += sympy.Rational(c.numerator, c.denominator) * syms[k]
+        for k, c in matrix.cells[i].get(j, {}).items():
+            total += sympy.Integer(c) * syms[k]
         return total
 
     return sympy.Matrix(matrix.rows, matrix.cols, entry)
@@ -186,10 +187,10 @@ def minor_expansion_rank(matrix: LinearFormMatrix) -> int:
     s = matrix.num_indeterminates
     syms = sympy.symbols(f"a0:{max(s, 1)}")
     rows = [
-        [sum((sympy.Rational(c.numerator, c.denominator) * syms[k]
-              for k, c in e.items()), sympy.Integer(0))
-         for e in row]
-        for row in matrix.entries
+        [sum((sympy.Integer(c) * syms[k] for k, c in row.get(j, {}).items()),
+             sympy.Integer(0))
+         for j in range(matrix.cols)]
+        for row in matrix.cells
     ]
     best = 0
     for k in range(1, min(matrix.rows, matrix.cols) + 1):
@@ -210,7 +211,26 @@ def minor_expansion_rank(matrix: LinearFormMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Random linear-form matrices for property sweeps.
+# Linear-form matrices from dense rational grids, and random ones.
+
+
+def matrix_of(grid, s: int, cols: int | None = None) -> LinearFormMatrix:
+    """The matrix of a dense grid of forms ``{k: c}`` with int or Fraction c.
+
+    Zero coefficients and zero forms are dropped, and each row is multiplied
+    by the lcm of its denominators, which keeps the generic rank:
+    ``[[{0: 1/2}, {1: 1/3}]]`` becomes the row ``{0: {0: 3}, 1: {1: 2}}``.
+    ``cols`` defaults to the length of the first row.
+    """
+    if cols is None:
+        cols = len(grid[0]) if grid else 0
+    cells = []
+    for row in grid:
+        assert len(row) == cols, f"a row has {len(row)} entries, expected {cols}"
+        scale = lcm(*(Fraction(c).denominator for e in row for c in e.values()))
+        cells.append({j: form for j, e in enumerate(row)
+                      if (form := {k: int(c * scale) for k, c in e.items() if c})})
+    return LinearFormMatrix(cells, s, cols)
 
 
 def random_matrix(rng, max_rows=6, max_cols=6, max_vars=4) -> LinearFormMatrix:
@@ -230,7 +250,7 @@ def random_matrix(rng, max_rows=6, max_cols=6, max_vars=4) -> LinearFormMatrix:
                         coeffs[k] = Fraction(num, den)
             row.append(coeffs)
         grid.append(row)
-    return LinearFormMatrix(grid, s)
+    return matrix_of(grid, s)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +264,9 @@ def evaluate(matrix: LinearFormMatrix, point) -> list[list[Fraction]]:
             f"point has length {len(point)}, expected {matrix.num_indeterminates}"
         )
     pt = [Fraction(x) for x in point]
-    return [[sum((c * pt[k] for k, c in e.items()), Fraction(0)) for e in row]
-            for row in matrix.entries]
+    return [[sum((c * pt[k] for k, c in row.get(j, {}).items()), Fraction(0))
+             for j in range(matrix.cols)]
+            for row in matrix.cells]
 
 
 def scalar_rank(matrix) -> int:

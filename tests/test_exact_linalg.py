@@ -10,6 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from helpers import (
     evaluate,
+    matrix_of,
     minor_expansion_rank,
     random_matrix,
     scalar_rank,
@@ -43,7 +44,7 @@ def matrix_332_orbit():
 
 class TestEvaluate:
     def test_single_entry(self):
-        m = LinearFormMatrix([[lf(a1=2, a2=3)]], 2)
+        m = matrix_of([[lf(a1=2, a2=3)]], 2)
         assert evaluate(m, [1, 1]) == [[5]]
         assert evaluate(m, [Fraction(1, 2), 0]) == [[1]]
 
@@ -53,7 +54,7 @@ class TestEvaluate:
         assert all(v == 0 for row in values for v in row)
 
     def test_dimension_mismatch(self):
-        m = LinearFormMatrix([[lf(a1=1)]], 1)
+        m = matrix_of([[lf(a1=1)]], 1)
         with pytest.raises(ValueError):
             evaluate(m, [1, 2])
 
@@ -69,11 +70,11 @@ class TestEvaluate:
 
 class TestProbabilisticRank:
     def test_zero_matrix(self):
-        m = LinearFormMatrix([[{}, {}]], 2)
+        m = matrix_of([[{}, {}]], 2)
         assert probabilistic_rank(m, 5, seed=1) == 0
 
     def test_single_nonzero_form(self):
-        m = LinearFormMatrix([[lf(a1=1)]], 1)
+        m = matrix_of([[lf(a1=1)]], 1)
         assert probabilistic_rank(m, 3, seed=0) == 1
 
     def test_nilp_ex_matrix_rank_two(self):
@@ -87,7 +88,7 @@ class TestProbabilisticRank:
         assert certified_rank(m) == 2
 
     def test_trials_must_be_positive(self):
-        m = LinearFormMatrix([[lf(a1=1)]], 1)
+        m = matrix_of([[lf(a1=1)]], 1)
         with pytest.raises(ValueError):
             probabilistic_rank(m, 0)
 
@@ -109,7 +110,7 @@ class TestProbabilisticRank:
             vals = [[rng.randrange(EVAL_PRIME) for _ in range(nc)] for _ in range(nr)]
             if rng.random() < 0.5 and nr >= 2:  # force rank deficiency
                 vals[-1] = list(vals[0])
-            m = LinearFormMatrix([[{0: v} for v in row] for row in vals], 1)
+            m = matrix_of([[{0: v} for v in row] for row in vals], 1)
             expected = DomainMatrix([[field(v) for v in row] for row in vals],
                                     (nr, nc), field).rank()
             assert rank_at_point_mod(m, [1]) == expected
@@ -137,7 +138,7 @@ class TestProbabilisticRank:
             if nr >= 2:
                 for _ in range(rng.randint(0, 2)):
                     vals[rng.randrange(nr)] = list(vals[rng.randrange(nr)])
-            m = LinearFormMatrix([[{0: v} if v else {} for v in row] for row in vals], 1)
+            m = matrix_of([[{0: v} if v else {} for v in row] for row in vals], 1)
             rank = DomainMatrix([[field(v) for v in row] for row in vals],
                                 (nr, nc), field).rank()
             assert rank_at_point_mod(m, [1]) == rank
@@ -161,16 +162,16 @@ class TestProbabilisticRank:
                 assert rank_at_point_mod(m, point, ceiling=ceiling) == ceiling
 
     def test_negative_ceiling_is_rejected(self):
-        m = LinearFormMatrix([[lf(a1=1)]], 1)
+        m = matrix_of([[lf(a1=1)]], 1)
         with pytest.raises(ValueError, match="ceiling"):
             rank_at_point_mod(m, [1], ceiling=-1)
         with pytest.raises(ValueError, match="ceiling"):
             probabilistic_rank(m, ceiling=-1)
         with pytest.raises(ValueError, match="ceiling"):
-            probabilistic_rank(LinearFormMatrix([], 1), ceiling=-1)
+            probabilistic_rank(matrix_of([], 1), ceiling=-1)
 
     def test_point_rank_loses_rank_divisible_by_prime(self):
-        m = LinearFormMatrix([[lf(a1=1), {}],
+        m = matrix_of([[lf(a1=1), {}],
                               [{}, lf(a1=EVAL_PRIME)]], 1)
         assert rank_at_point_mod(m, [1]) == 1
         assert certified_rank(m) == 2
@@ -179,17 +180,17 @@ class TestProbabilisticRank:
 class TestGroundFieldReduce:
     def test_identical_rows_merge(self):
         row = [lf(a1=1, a2=2), lf(a2=1)]
-        m = LinearFormMatrix([row, list(row)], 2)
+        m = matrix_of([row, list(row)], 2)
         red = ground_field_reduce(m)
         assert red.rows == 1
-        assert red.entries[0] == tuple(row)
+        assert red.cells == ({0: row[0], 1: row[1]},)
 
     def test_proportional_rows_merge(self):
-        m = LinearFormMatrix([[lf(a1=1), {}],
+        m = matrix_of([[lf(a1=1), {}],
                               [lf(a1=2), {}]], 1)
         red = ground_field_reduce(m)
         assert (red.rows, red.cols) == (1, 1)
-        assert red.entries[0][0] == lf(a1=1)
+        assert red.cells == ({0: lf(a1=1)},)
 
     def test_2221_orbit_reduces_to_two_rows(self):
         # the (3,3,1) orbit of r=(2,2,2,1): two nilpotent stabilizer rows are
@@ -198,11 +199,11 @@ class TestGroundFieldReduce:
         cent = build_centralizer(LabeledPartition(((3, 0), (3, 2), (1, 1))), 4)
         m = build_action_matrix(cent)
         assert m.rows == 5
-        nonzero_rows = [row for row in m.entries if any(row)]
+        nonzero_rows = [row for row in m.cells if row]
         assert len(nonzero_rows) == 3  # torus only
         total = {}  # (column, indeterminate) -> coefficient of the row sum
         for row in nonzero_rows:
-            for j, e in enumerate(row):
+            for j, e in row.items():
                 for k, c in e.items():
                     total[j, k] = total.get((j, k), 0) + c
         assert total and not any(total.values())
@@ -219,12 +220,12 @@ class TestGroundFieldReduce:
 
 class TestCertifiedRank:
     def test_full_rank_two_by_two(self):
-        m = LinearFormMatrix([[lf(a1=1), lf(a2=1)],
+        m = matrix_of([[lf(a1=1), lf(a2=1)],
                               [lf(a2=1), lf(a1=1)]], 2)
         assert certified_rank(m) == 2  # det a1^2 - a2^2 != 0
 
     def test_proportional_rows(self):
-        m = LinearFormMatrix([[lf(a1=1), lf(a2=1)],
+        m = matrix_of([[lf(a1=1), lf(a2=1)],
                               [lf(a1=2), lf(a2=2)]], 2)
         assert certified_rank(m) == 1
 
@@ -263,7 +264,7 @@ class TestCertifiedRank:
             upper = {(i, j): {k: rng.randint(-3, 3) for k in range(s)}
                      for i in range(n) for j in range(i + 1, n)}
             lower = {(i, j): {k: -c for k, c in e.items()} for (j, i), e in upper.items()}
-            cases.append(LinearFormMatrix(
+            cases.append(matrix_of(
                 [[upper[i, j] if i < j else lower[i, j] if i > j else {}
                   for j in range(n)] for i in range(n)], s))
         for m in cases:
@@ -279,13 +280,13 @@ class TestCertifiedRank:
         n = 12
         grid = [[lf(a1=1) if i == j or i == 0 else {} for j in range(n)]
                 for i in range(n)]
-        assert certified_rank(LinearFormMatrix(grid, 1)) == n
+        assert certified_rank(matrix_of(grid, 1)) == n
 
     def test_resource_limit_is_catchable(self):
         rng = random.Random(4)
         grid = [[{k: rng.randint(1, 9) for k in range(6)}
                  for _ in range(6)] for _ in range(6)]
-        m = LinearFormMatrix(grid, 6)
+        m = matrix_of(grid, 6)
         with pytest.raises(ResourceLimitExceeded):
             certified_rank(m, max_terms=2)
 
@@ -298,7 +299,7 @@ class TestCertifiedRank:
         rng = random.Random(4)
         grid = [[{k: rng.randint(1, 9) for k in range(6)}
                  for _ in range(6)] for _ in range(6)]
-        m = LinearFormMatrix(grid, 6)
+        m = matrix_of(grid, 6)
         readings = []
 
         def clock():
@@ -330,7 +331,7 @@ class TestCertifiedRank:
         rng = random.Random(4)
         grid = [[{k: rng.randint(1, 9) for k in range(6)}
                  for _ in range(6)] for _ in range(6)]
-        assert certified_rank(LinearFormMatrix(grid, 6)) == 6
+        assert certified_rank(matrix_of(grid, 6)) == 6
 
     def test_time_limit_holds_within_a_row_operation(self):
         # the reduced 17x18 (3,3,3) matrix of this orbit runs far past 1.5 s,
@@ -376,50 +377,75 @@ class TestRankInvariants:
             # scale whole rows (a row operation), not individual entries
             factors = [Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
                        for _ in range(m.rows)]
-            scaled = [[{k: c * factors[i] for k, c in e.items()} for e in row]
-                      for i, row in enumerate(m.entries)]
-            assert certified_rank(LinearFormMatrix(scaled, m.num_indeterminates)) == cert
+            scaled = [[{k: c * factors[i] for k, c in row.get(j, {}).items()}
+                       for j in range(m.cols)] for i, row in enumerate(m.cells)]
+            assert certified_rank(matrix_of(scaled, m.num_indeterminates)) == cert
 
 
 class TestIntegerRows:
     def test_fraction_row_is_stored_with_denominators_cleared(self):
-        m = LinearFormMatrix([[lf(a1=Fraction(1, 2)), lf(a2=Fraction(1, 3))]], 2)
-        assert list(m.entries[0]) == [{0: 3}, {1: 2}]
-        assert all(type(c) is int for e in m.entries[0] for c in e.values())
+        # the constructor takes ints only; the test helper clears a row's
+        # denominators, as a builder with rational data must
+        row = [lf(a1=Fraction(1, 2)), lf(a2=Fraction(1, 3))]
+        m = matrix_of([row], 2)
+        assert m.cells == ({0: {0: 3}, 1: {1: 2}},)
+        assert all(type(c) is int for e in m.cells[0].values() for c in e.values())
+        with pytest.raises(ValueError, match="not a nonzero int"):
+            LinearFormMatrix([dict(enumerate(row))], 2, 2)
 
     def test_action_matrix_coefficients_are_ints(self):
         m = matrix_332_orbit()
-        coeffs = [c for row in m.entries for e in row for c in e.values()]
+        coeffs = [c for row in m.cells for e in row.values() for c in e.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
 
     def test_large_coefficients_stay_exact(self):
         # the second row minus a third of the first is (0, a1); a float
         # quotient rounds it to zero and merges the rows
         big = 2**60
-        m = LinearFormMatrix([[lf(a1=3), lf(a1=3 * big)],
-                              [lf(a1=1), lf(a1=big + 1)]], 1)
+        m = LinearFormMatrix([{0: lf(a1=3), 1: lf(a1=3 * big)},
+                              {0: lf(a1=1), 1: lf(a1=big + 1)}], 1, 2)
         assert ground_field_reduce(m).rows == 2
         assert certified_rank(m) == 2
 
     def test_negative_indeterminate_index_is_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            LinearFormMatrix([[{-1: 1}, {0: 1}]], 2)
+            LinearFormMatrix([{0: {-1: 1}, 1: {0: 1}}], 2, 2)
 
     def test_cols_must_match_the_rows(self):
-        with pytest.raises(ValueError, match="a row has 1 entries, expected 3"):
-            LinearFormMatrix([[{}]], 1, cols=3)
-        assert LinearFormMatrix([[{}]], 1, cols=1).cols == 1
-        assert LinearFormMatrix([], 1, cols=3).cols == 3
+        with pytest.raises(ValueError, match="column 3 out of range"):
+            LinearFormMatrix([{3: {0: 1}}], 1, 3)
+        assert LinearFormMatrix([{0: {0: 1}}], 1, 1).cols == 1
+        assert LinearFormMatrix([], 1, 3).cols == 3
+
+    @pytest.mark.parametrize("row, message", [
+        ({2: {0: 1}}, "column 2 out of range"),
+        ({-1: {0: 1}}, "column -1 out of range"),
+        ({0: {}}, "zero form"),
+        ({0: {0: 0}}, "not a nonzero int"),
+        ({0: {0: Fraction(1, 2)}}, "not a nonzero int"),
+        ({0: {0: True}}, "not a nonzero int"),
+        ({0: {2: 1}}, "indeterminate index 2 out of range"),
+    ], ids=["column", "negative-column", "empty-form", "zero", "fraction", "bool",
+            "indeterminate"])
+    def test_constructor_rejects_a_bad_cell(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            LinearFormMatrix([{0: {0: 1}}, row], 2, 2)
 
     def test_zero_coefficients_are_never_stored(self):
         # a stored zero would be a nonzero Bareiss pivot and an independent
-        # row to ground_field_reduce
-        m = LinearFormMatrix([[{0: 0, 1: 2}, {0: 0}]], 2)
-        assert m.entries == (({1: 2}, {}),)
-        zero = LinearFormMatrix([[{0: 0}]], 1)
+        # row to ground_field_reduce: the constructor refuses one (above),
+        # and the test helper drops it like the builders do
+        m = matrix_of([[{0: 0, 1: 2}, {0: 0}]], 2)
+        assert m.cells == ({0: {1: 2}},)
+        zero = matrix_of([[{0: 0}]], 1)
+        assert zero.cells == ({},)
         assert certified_rank(zero) == 0
         assert probabilistic_rank(zero) == 0
         assert ground_field_reduce(zero).rows == 0
+
+    def test_entries_are_the_dense_grid_of_the_cells(self):
+        m = LinearFormMatrix([{1: {0: 2}}, {}], 1, 3)
+        assert m.entries == (({}, {0: 2}, {}), ({}, {}, {}))
 
 
 def packed(terms, s, width):

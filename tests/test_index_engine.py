@@ -45,7 +45,7 @@ class TestBuildActionMatrix:
         acting = cent.by_degree[0]
         for i, x in enumerate(acting):
             if x.i != x.j:
-                assert not any(m.entries[i])
+                assert not m.cells[i]
 
     def test_torus_zero_orbit_incidence(self):
         # all multiplicities 1: each degree-0 element hits exactly two of the
@@ -55,8 +55,8 @@ class TestBuildActionMatrix:
             cent = build_centralizer(zero_orbit(rep), m_order)
             mat = build_action_matrix(cent)
             assert (mat.rows, mat.cols) == (m_order, m_order)
-            for row in mat.entries:
-                coeffs = sorted(c for e in row for c in e.values())
+            for row in mat.cells:
+                coeffs = sorted(c for e in row.values() for c in e.values())
                 assert coeffs == [-1, 1]
 
 
@@ -136,6 +136,25 @@ CERTIFY_ORBITS = [
 ]
 
 
+def _completing_units(rows, s):
+    """The k, in order, of each unit vector e_k independent of ``rows`` and earlier ones."""
+    basis = []  # (pivot, row): each row is zero at the pivots before its own
+
+    def independent(v):
+        for pivot, b in basis:
+            if v[pivot]:
+                f = v[pivot] / b[pivot]
+                v = [x - f * y for x, y in zip(v, b)]
+        if any(v):
+            basis.append((next(j for j, x in enumerate(v) if x), v))
+            return True
+        return False
+
+    for row in rows:
+        independent([Fraction(x) for x in row])
+    return [k for k in range(s) if independent([Fraction(int(x == k)) for x in range(s)])]
+
+
 def _orbit_matrices(r, orbit):
     m = build_action_matrix(build_centralizer(LabeledPartition.parse(orbit), len(r)))
     return m, ground_field_reduce(m)
@@ -153,6 +172,29 @@ class TestTransversalSlice:
         sliced = transversal_slice(m, reduced, [rng.randint(-2, 2) for _ in range(m.cols)])
         assert m.cols == 25 and sliced.num_indeterminates == 25 - 20 + 1
         assert (sliced.rows, sliced.cols) == (reduced.rows, reduced.cols)
+
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2)])
+    def test_slice_is_the_reduced_matrix_on_the_slice(self, r):
+        # J completes the rows at the point to Q^s, found greedily by the
+        # rational rank oracle; b = (b_0, b_J) stands for the point a with
+        # a_k = b_t for the t-th k of J and a_k = point[k] * b_0 otherwise
+        rep = ThetaRep.of(*r)
+        rng = random.Random(sum(r))
+        for part in all_nilpotent_orbits(rep):
+            m, reduced = _orbit_matrices(r, part.to_text())
+            s = m.cols
+            point = [rng.randint(-2, 2) for _ in range(s)]
+            complement = _completing_units(evaluate(m, point), s)
+            sliced = transversal_slice(m, reduced, point)
+            assert sliced.num_indeterminates == len(complement) + 1, part
+            assert all(c for row in sliced.cells for e in row.values() for c in e.values())
+            at_point = evaluate(reduced, point)
+            assert evaluate(sliced, [1] + [point[k] for k in complement]) == at_point, part
+            b = [rng.randint(-50, 50) for _ in range(len(complement) + 1)]
+            a = [point[k] * b[0] for k in range(s)]
+            for t, k in enumerate(complement, 1):
+                a[k] = b[t]
+            assert evaluate(sliced, b) == evaluate(reduced, a), part
 
     def test_incomplete_complement_is_refused(self, monkeypatch):
         # dropping one unit vector from the complement leaves the span short
@@ -279,8 +321,8 @@ class TestGenericDocuments:
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [1, 1, 1, 1, 3]]}
         mat, _ = parse_action_document(doc)
         # repeated (i, j, k) entries accumulate: 1/2 + 1/2 = 1
-        assert mat.entries[0][0] == {0: 1}
-        assert mat.entries[1][1] == {1: 1}  # 1/3*a2, its row scaled by 3
+        assert mat.cells[0] == {0: {0: 1}}
+        assert mat.cells[1] == {1: {1: 1}}  # 1/3*a2, its row scaled by 3
 
     def test_parsed_rows_have_integer_coefficients(self):
         # row 0 is (1/2 + 1/2)*a1, a2: without accumulation it would be
@@ -289,29 +331,30 @@ class TestGenericDocuments:
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [0, 1, 1, 1, 1],
                             [1, 0, 1, 2, 3], [1, 1, 0, -5, 6]]}
         mat, _ = parse_action_document(doc)
-        assert list(mat.entries[0]) == [{0: 1}, {1: 1}]
-        assert list(mat.entries[1]) == [{1: 4}, {0: -5}]
+        assert mat.cells == ({0: {0: 1}, 1: {1: 1}}, {0: {1: 4}, 1: {0: -5}})
         assert all(type(c) is int
-                   for row in mat.entries for e in row for c in e.values())
+                   for row in mat.cells for e in row.values() for c in e.values())
         # 1/2 - 1/2 accumulates to a zero coefficient, which is not stored
         mat, _ = parse_action_document(
             {"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, -1, 2]]})
-        assert mat.entries[0][0] == {}
+        assert mat.cells == ({},)
 
     @staticmethod
     def assert_primitive_multiple(parsed: LinearFormMatrix, oracle):
         # each parsed row is a primitive int row, a rational multiple of the
         # oracle's row with the same nonzero cells
-        for row, ref in zip(parsed.entries, oracle, strict=True):
-            assert [sorted(e) for e in row] == [sorted(e) for e in ref]
-            coeffs = [c for e in row for c in e.values()]
+        for row, ref in zip(parsed.cells, oracle, strict=True):
+            assert ({j: sorted(e) for j, e in row.items()}
+                    == {j: sorted(e) for j, e in enumerate(ref) if e})
+            coeffs = [c for e in row.values() for c in e.values()]
             assert all(type(c) is int for c in coeffs)
             if not coeffs:
                 continue
             assert gcd(*coeffs) == 1
             j, k = next((j, k) for j, e in enumerate(ref) for k in e)
             factor = Fraction(row[j][k]) / ref[j][k]
-            assert all(e[k] == factor * c for e, r in zip(row, ref) for k, c in r.items())
+            assert all(row[j][k] == factor * c
+                       for j, r in enumerate(ref) for k, c in r.items())
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 3, 4)])
     def test_integer_parse_matches_fraction_oracle(self, r):
@@ -335,9 +378,7 @@ class TestGenericDocuments:
                             [1, 1, 1, 5, 1], [2, 1, 0, 7, 2], [2, 1, 0, -7, 2]]}
         mat, _ = parse_action_document(doc)
         self.assert_primitive_multiple(mat, fraction_parse(doc))
-        assert list(mat.entries[0]) == [{}, {1: 4, 0: 3}]
-        assert list(mat.entries[1]) == [{}, {1: 1}]
-        assert list(mat.entries[2]) == [{}, {}]
+        assert mat.cells == ({1: {1: 4, 0: 3}}, {1: {1: 1}}, {})
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"dim_v": 1}, "dim_q"),
@@ -352,6 +393,15 @@ class TestGenericDocuments:
         with pytest.raises(GenericActionError) as err:
             parse_action_document(doc)
         assert fragment in str(err.value)
+
+    def test_one_bracket_in_a_large_document(self):
+        # the matrix and every rank layer pay for the one stored form, not
+        # for the dim_q x dim_v cells around it
+        mat, _ = parse_action_document(
+            {"dim_q": 3000, "dim_v": 3000, "brackets": [[0, 0, 0, 1, 1]]})
+        assert [(i, row) for i, row in enumerate(mat.cells) if row] == [(0, {0: {0: 1}})]
+        res = index_of_matrix(mat)
+        assert (res.index, res.decided_by) == (2999, DECIDED_BY_REDUCED_SHAPE)
 
     def test_empty_acting_algebra(self):
         mat, _ = parse_action_document({"dim_q": 0, "dim_v": 3, "brackets": []})
