@@ -392,11 +392,11 @@ def _cmd_index_file(args) -> int:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
     try:
-        matrix, declared = parse_action_document(doc)
+        matrix, declared, bound = parse_action_document(doc)
     except GenericActionError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
-    result = index_of_matrix(matrix, target=declared, trials=args.trials,
+    result = index_of_matrix(matrix, target=bound, declared=declared, trials=args.trials,
                              seed=args.seed, force_certify=args.certify_all,
                              max_terms=args.max_terms, cert_timeout=args.cert_timeout)
     undecided = result.decided_by == UNDECIDED
@@ -410,6 +410,7 @@ def _cmd_index_file(args) -> int:
         "index": result.index,
         "decided_by": result.decided_by,
         "declared_rank": declared,
+        "index_lower_bound": bound,
         "matches_declared": matches,
     }
     if args.format == "json":

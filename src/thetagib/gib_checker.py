@@ -25,8 +25,12 @@ for that index.  The per-orbit procedure:
      dim V.
 
 Steps 3-4 are ``index_engine.cheap_proof`` and step 5 is
-``index_engine.certify``; ``index-file`` shares both, but certifies over
-all indeterminates, since a document need not come from a group action.
+``index_engine.certify``.  ``index-file`` shares steps 2-5 through
+``index_engine.index_of_matrix``, with a document's ``index_lower_bound``
+(min(r) for one that ``export_action`` wrote) in place of min(r), both as
+the ceiling of step 2 and as the bound of step 3; a bare declared ``rank``
+is no bound.  It certifies over all indeterminates, since a document need
+not come from a group action.
 
 A whole grading has the property iff every orbit does.  The driver delays
 the expensive step 5, collecting suspicious orbits from the cheap pass and

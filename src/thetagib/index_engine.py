@@ -82,7 +82,7 @@ def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
 
     ``prob`` is the probabilistic rank of ``matrix``; ``target`` is a lower
     bound for the index that the caller already has (min(r) for an orbit,
-    the declared rank for a document) or None.  The proofs, cheapest first:
+    a document's ``index_lower_bound``) or None.  The proofs, cheapest first:
 
       1. bound match: dim - prob is an upper bound for the index, so if it
          equals ``target`` the index is ``target``;
@@ -241,21 +241,31 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
+                    declared: int | None = None,
                     trials: int = DEFAULT_TRIALS, seed: int = 0,
                     force_certify: bool = False,
                     max_terms: int = DEFAULT_TERM_LIMIT,
                     cert_timeout: float | None = None) -> IndexResult:
     """Index of the action encoded by ``matrix``: ``cheap_proof``, then ``certify``.
 
-    ``target`` is the declared index, if any; a rank that disagrees with it
-    is certified before it is reported.  Without a target only
-    ``force_certify`` runs the certification.  A certification that exceeds
-    its resource budget leaves whatever cheaper proof held, or
-    ``UNDECIDED``, rather than failing the computation.
+    ``target`` is a proven lower bound for the index, such as min(r) for
+    an exported orbit, or None.  It is a premise, used as the orbit driver
+    uses min(r): ``cols - target`` is a ceiling for the generic rank that
+    ends the F_p trials, and a probabilistic index equal to ``target`` is
+    a bound match.  ``declared`` is a claimed index and no premise: it
+    neither ends the trials nor matches.  When either is given, a result
+    that ``cheap_proof`` leaves undecided is certified before it is
+    reported; otherwise only ``force_certify`` runs the certification.  A
+    certification that exceeds its resource budget leaves whatever
+    cheaper proof held, or ``UNDECIDED``, rather than failing the
+    computation.
     """
     validate_budget(max_terms, cert_timeout)
-    result, reduced = cheap_proof(matrix, probabilistic_rank(matrix, trials, seed), target)
-    if force_certify or (target is not None and result.decided_by == UNDECIDED):
+    ceiling = None if target is None else matrix.cols - target
+    prob = probabilistic_rank(matrix, trials, seed, ceiling=ceiling)
+    result, reduced = cheap_proof(matrix, prob, target)
+    if force_certify or (result.decided_by == UNDECIDED
+                         and (target is not None or declared is not None)):
         result = certify(matrix, result, reduced, max_terms, cert_timeout)
     return result
 
@@ -270,7 +280,9 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
 #     "brackets": [[i, j, k, num, den], ...],
 #                                      x_i . v_j has coefficient num/den on v_k;
 #                                      repeated (i, j, k) entries accumulate
-#     "rank": r                        optional declared target for the index
+#     "rank": r,                       optional claimed index, only compared
+#     "index_lower_bound": b           optional proven lower bound for the index,
+#                                      0 <= b <= s; export_action writes min(r)
 #   }
 
 
@@ -287,8 +299,14 @@ def _require_int(doc: dict, key: str) -> int:
     return v
 
 
-def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
-    """Validate a structure-constant document; return (matrix, declared rank).
+def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int | None]:
+    """Validate a structure-constant document.
+
+    Returns (matrix, declared rank, index lower bound), the last two None
+    when the document leaves them out.  The declared ``rank`` is a claimed
+    index, only compared with the result.  ``index_lower_bound`` is taken
+    as proven, as ``export_action`` proves it: ``index_of_matrix`` uses it
+    as its ``target``.  It must be an integer from 0 to ``dim_v``.
 
     Row i of the matrix is x_i's action, and scaling it by a nonzero
     constant keeps the generic rank, so each row is stored as a primitive
@@ -335,14 +353,25 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None]:
         content = gcd(*(c for entry in row.values() for c in entry.values()))
         cells[i] = row if content < 2 else {j: {k: c // content for k, c in entry.items()}
                                             for j, entry in row.items()}
-    declared = None
-    if "rank" in doc:
-        declared = _require_int(doc, "rank")
-    return LinearFormMatrix(cells, dim_v, dim_v), declared
+    declared = _require_int(doc, "rank") if "rank" in doc else None
+    bound = None
+    if "index_lower_bound" in doc:
+        bound = _require_int(doc, "index_lower_bound")
+        if bound > dim_v:
+            raise GenericActionError(f"field 'index_lower_bound' must be at most "
+                                     f"dim_v={dim_v}, got {bound}")
+    return LinearFormMatrix(cells, dim_v, dim_v), declared, bound
 
 
 def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> dict:
-    """Serialize the degree-0 action of ``cent`` to the document schema."""
+    """Serialize the degree-0 action of ``cent`` to the document schema.
+
+    ``index_lower_bound`` is min(r) for the grading r of ``cent``'s
+    orbit, which Vinberg's inequality makes a lower bound for the index;
+    it is computed here from ``cent`` itself, so the document's bound is
+    proven whatever the caller passes.  ``declared_rank``, if given, is
+    written as ``rank``, a claimed index that ``index-file`` only compares.
+    """
     tensor = cent.action_structure_constants()
     brackets = []
     for (i, j) in sorted(tensor):
@@ -353,6 +382,7 @@ def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> 
         "dim_q": len(cent.by_degree[0]),
         "dim_v": len(cent.by_degree[cent.m - 1]),
         "brackets": brackets,
+        "index_lower_bound": min(cent.partition.residue_counts(cent.m)),
     }
     if declared_rank is not None:
         doc["rank"] = declared_rank

@@ -323,3 +323,13 @@ def scale_rows(doc: dict, rng, max_den: int = 97) -> dict:
         c = Fraction(num, den) * scales[i]
         brackets.append([i, j, k, c.numerator, c.denominator])
     return dict(doc, brackets=brackets)
+
+
+#: The skew form [[0, a1, a2], [-a1, 0, a3], [-a2, -a3, 0]] of generic rank
+#: 2, with the bare claim ``"rank": 1`` for its index.  Its rows and columns
+#: are Q-independent, so the reduced shape (3x3) does not pin the rank.
+SKEW_DOCUMENT = {
+    "dim_q": 3, "dim_v": 3, "rank": 1,
+    "brackets": [[0, 1, 0, 1, 1], [0, 2, 1, 1, 1], [1, 0, 0, -1, 1],
+                 [1, 2, 2, 1, 1], [2, 0, 1, -1, 1], [2, 1, 2, -1, 1]],
+}

@@ -206,7 +206,7 @@ def test_criterion_10_generic_mode_round_trip():
                 continue  # certification there is the known expensive case
             cent = build_centralizer(part, rep.m)
             doc = json.loads(json.dumps(export_action(cent, rep.rank())))
-            matrix, declared = parse_action_document(doc)
+            matrix, declared, _ = parse_action_document(doc)
             result = index_of_matrix(matrix, force_certify=True)
             assert result.certified
             assert (result.index == declared) == (by_orbit[part].gib is True), \

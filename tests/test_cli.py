@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from helpers import SKEW_DOCUMENT
 from thetagib import ThetaRep, check_rep
 from thetagib.cli import (
     CSV_COLUMNS,
@@ -435,6 +436,57 @@ class TestIndexFileCommand:
         assert (doc["prob_rank"], doc["index"]) == (1, 0)
         assert doc["matches_declared"] is False
         assert doc["decided_by"] == "reduced-shape"
+
+    def test_exported_bound_matches_after_one_trial(self, capsys, tmp_path, monkeypatch):
+        # an exported orbit carries min(r) as its proven bound, which caps
+        # the trials; without the field the same document is certified
+        import thetagib.exact_linalg as el
+
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return point_rank(*a, **k)
+
+        point_rank = el.rank_at_point_mod
+        monkeypatch.setattr(el, "rank_at_point_mod", counted)
+        path = self.orbit_doc(tmp_path, (3, 3, 2), "4^0 4^1")
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["decided_by"] == "probabilistic-bound-match" and len(calls) == 1
+        assert (doc["index"], doc["index_lower_bound"], doc["matches_declared"]) == (2, 2, True)
+        bare = json.loads((tmp_path / "action.json").read_text())
+        del bare["index_lower_bound"]
+        code, out, _ = run_cli(capsys, "index-file", self.write(tmp_path, bare),
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["decided_by"] == "certified-rank" and doc["index_lower_bound"] is None
+        assert (doc["index"], doc["matches_declared"]) == (2, True)
+
+    def test_bare_rank_is_no_bound_match(self, capsys, tmp_path):
+        # the probabilistic index equals the bare rank and the reduced shape
+        # does not pin it: certified, or undecided once the budget is blown
+        path = self.write(tmp_path, SKEW_DOCUMENT)
+        code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["decided_by"] == "certified-rank" and doc["certified"] is True
+        assert (doc["index"], doc["matches_declared"]) == (1, True)
+        code, out, _ = run_cli(capsys, "index-file", path, "--max-terms", "0",
+                               "--format", "json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["decided_by"] == "undecided" and doc["matches_declared"] is None
+
+    @pytest.mark.parametrize("bound", [-1, True, 1.5, 2])
+    def test_invalid_index_lower_bound(self, capsys, tmp_path, bound):
+        path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "brackets": [],
+                                     "index_lower_bound": bound})
+        code, _, err = run_cli(capsys, "index-file", path)
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "index_lower_bound" in err
 
     def test_reduced_shape_decides_without_bareiss(self, capsys, tmp_path, monkeypatch):
         # 28x28 and prob 23 equal to the reduced row count: no elimination,

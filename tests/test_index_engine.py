@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    SKEW_DOCUMENT,
     cached_check_rep,
     evaluate,
     fraction_parse,
@@ -28,8 +29,23 @@ from thetagib import (
     index_of_matrix,
     parse_action_document,
 )
-from thetagib.exact_linalg import ResourceLimitExceeded, ground_field_reduce
-from thetagib.index_engine import DECIDED_BY_REDUCED_SHAPE, slice_rank, transversal_slice
+import thetagib.exact_linalg as el
+from thetagib.exact_linalg import (
+    DEFAULT_TERM_LIMIT,
+    ResourceLimitExceeded,
+    ground_field_reduce,
+    probabilistic_rank,
+)
+from thetagib.index_engine import (
+    DECIDED_BY_BOUND_MATCH,
+    DECIDED_BY_CERTIFIED_RANK,
+    DECIDED_BY_REDUCED_SHAPE,
+    UNDECIDED,
+    certify,
+    cheap_proof,
+    slice_rank,
+    transversal_slice,
+)
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 
 
@@ -257,25 +273,39 @@ class TestTransversalSlice:
 
 class TestGenericDocuments:
     def test_trivial_one_by_one(self):
-        mat, declared = parse_action_document(
+        mat, declared, _ = parse_action_document(
             {"dim_q": 1, "dim_v": 1, "brackets": [], "rank": 1})
         res = index_of_matrix(mat)
         assert res.index == 1
         assert declared == 1
         assert res.index == declared
 
+    def test_bare_rank_is_no_bound(self):
+        # a skew form of rank 2: its probabilistic index 1 equals the bare
+        # rank, and its reduced 3x3 shape does not pin it, so only Bareiss
+        # proves it
+        mat, declared, bound = parse_action_document(SKEW_DOCUMENT)
+        assert (declared, bound) == (1, None)
+        res = index_of_matrix(mat, declared=declared)
+        assert (res.index, res.decided_by) == (1, DECIDED_BY_CERTIFIED_RANK)
+        res = index_of_matrix(mat, declared=declared, max_terms=0)
+        assert (res.index, res.decided_by) == (1, UNDECIDED)
+        # the same number as a proven bound is a match after one trial
+        res = index_of_matrix(mat, target=declared)
+        assert (res.index, res.decided_by) == (1, DECIDED_BY_BOUND_MATCH)
+
     def test_full_rank_torus_weights(self):
         doc = {"dim_q": 3, "dim_v": 3,
                "brackets": [[0, 0, 0, 1, 1], [1, 1, 1, 2, 1], [2, 2, 2, -3, 1]],
                "rank": 0}
-        mat, declared = parse_action_document(doc)
+        mat, declared, _ = parse_action_document(doc)
         res = index_of_matrix(mat, force_certify=True)
         assert res.index == 0 == declared
 
     def test_blown_certification_keeps_the_shape_proof(self):
         doc = {"dim_q": 3, "dim_v": 3,
                "brackets": [[0, 0, 0, 1, 1], [1, 1, 1, 2, 1], [2, 2, 2, -3, 1]]}
-        mat, _ = parse_action_document(doc)
+        mat, _, _ = parse_action_document(doc)
         res = index_of_matrix(mat, force_certify=True, max_terms=0)
         assert res.decided_by == DECIDED_BY_REDUCED_SHAPE
         assert res.certified and res.cert_rank == 3 and res.index == 0
@@ -287,7 +317,7 @@ class TestGenericDocuments:
         cent = build_centralizer(LabeledPartition(((3, 0), (3, 2), (1, 1))), 4)
         doc = export_action(cent, declared_rank=rep.rank())
         doc = json.loads(json.dumps(doc))  # through the wire format
-        mat, declared = parse_action_document(doc)
+        mat, declared, _ = parse_action_document(doc)
         res = index_of_matrix(mat, force_certify=True)
         assert declared == 1
         assert res.index == 2
@@ -296,7 +326,7 @@ class TestGenericDocuments:
     def test_export_is_unchanged(self):
         cent = build_centralizer(LabeledPartition.parse("3^0 3^2 1^1"), 3)
         assert export_action(cent, declared_rank=1) == {
-            "dim_q": 6, "dim_v": 5, "rank": 1,
+            "dim_q": 6, "dim_v": 5, "rank": 1, "index_lower_bound": 2,
             "brackets": [[0, 1, 1, -1, 1], [0, 2, 2, 1, 1], [1, 2, 0, -1, 1],
                          [1, 2, 3, 1, 1], [2, 1, 0, 1, 1], [2, 1, 3, -1, 1],
                          [3, 1, 1, 1, 1], [3, 2, 2, -1, 1], [3, 4, 4, -1, 1],
@@ -311,7 +341,7 @@ class TestGenericDocuments:
             if part.is_zero_orbit:
                 continue
             cent = build_centralizer(part, rep.m)
-            mat, declared = parse_action_document(
+            mat, declared, _ = parse_action_document(
                 export_action(cent, declared_rank=rep.rank()))
             res = index_of_matrix(mat, force_certify=True)
             assert (res.index == declared) == (by_orbit[part].gib is True), part
@@ -319,7 +349,7 @@ class TestGenericDocuments:
     def test_fractional_coefficients_survive(self):
         doc = {"dim_q": 2, "dim_v": 2,
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [1, 1, 1, 1, 3]]}
-        mat, _ = parse_action_document(doc)
+        mat, _, _ = parse_action_document(doc)
         # repeated (i, j, k) entries accumulate: 1/2 + 1/2 = 1
         assert mat.cells[0] == {0: {0: 1}}
         assert mat.cells[1] == {1: {1: 1}}  # 1/3*a2, its row scaled by 3
@@ -330,12 +360,12 @@ class TestGenericDocuments:
         doc = {"dim_q": 2, "dim_v": 2,
                "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, 1, 2], [0, 1, 1, 1, 1],
                             [1, 0, 1, 2, 3], [1, 1, 0, -5, 6]]}
-        mat, _ = parse_action_document(doc)
+        mat, _, _ = parse_action_document(doc)
         assert mat.cells == ({0: {0: 1}, 1: {1: 1}}, {0: {1: 4}, 1: {0: -5}})
         assert all(type(c) is int
                    for row in mat.cells for e in row.values() for c in e.values())
         # 1/2 - 1/2 accumulates to a zero coefficient, which is not stored
-        mat, _ = parse_action_document(
+        mat, _, _ = parse_action_document(
             {"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, -1, 2]]})
         assert mat.cells == ({},)
 
@@ -363,11 +393,42 @@ class TestGenericDocuments:
         for part in all_nilpotent_orbits(rep):
             doc = export_action(build_centralizer(part, rep.m), declared_rank=rep.rank())
             scaled = scale_rows(doc, rng)
-            mat, declared = parse_action_document(scaled)
+            mat, _, bound = parse_action_document(scaled)
             self.assert_primitive_multiple(mat, fraction_parse(scaled))
-            plain, _ = parse_action_document(doc)
-            assert (index_of_matrix(mat, target=declared)
-                    == index_of_matrix(plain, target=declared)), part
+            plain, _, _ = parse_action_document(doc)
+            assert (index_of_matrix(mat, target=bound)
+                    == index_of_matrix(plain, target=bound)), part
+
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 3, 4)])
+    def test_capped_trials_match_the_uncapped_run(self, r, monkeypatch):
+        # an exported document's bound is min(r), so capping the trials at
+        # dim - bound changes no result; a bound match takes one trial, or
+        # none when there is no rank to find
+        calls = []
+
+        def counted(*a, **k):
+            calls.append(a)
+            return point_rank(*a, **k)
+
+        point_rank = el.rank_at_point_mod
+        monkeypatch.setattr(el, "rank_at_point_mod", counted)
+        rep = ThetaRep.of(*r)
+        rng = random.Random(sum(r))
+        for part in all_nilpotent_orbits(rep):
+            doc = export_action(build_centralizer(part, rep.m), declared_rank=rep.rank())
+            assert doc["index_lower_bound"] == rep.rank()
+            for sent in (doc, scale_rows(doc, rng)):
+                mat, declared, bound = parse_action_document(sent)
+                calls.clear()
+                capped = index_of_matrix(mat, target=bound, declared=declared)
+                trials = len(calls)
+                # the uncapped run: all three trials, then the same ladder
+                result, reduced = cheap_proof(mat, probabilistic_rank(mat), bound)
+                if result.decided_by == UNDECIDED:
+                    result = certify(mat, result, reduced, DEFAULT_TERM_LIMIT, None)
+                assert capped == result, part
+                if capped.decided_by == DECIDED_BY_BOUND_MATCH:
+                    assert trials == min(1, mat.rows, mat.cols - bound), part
 
     def test_cancelling_brackets_match_fraction_oracle(self):
         # cells (0, 0), (1, 0) and (2, 1) cancel, row 1 keeps 5*a2 and is
@@ -376,7 +437,7 @@ class TestGenericDocuments:
                "brackets": [[0, 0, 0, 1, 3], [0, 0, 0, -2, 6], [0, 1, 1, 4, 6],
                             [0, 1, 0, -1, -2], [1, 0, 1, 3, 7], [1, 0, 1, -3, 7],
                             [1, 1, 1, 5, 1], [2, 1, 0, 7, 2], [2, 1, 0, -7, 2]]}
-        mat, _ = parse_action_document(doc)
+        mat, _, _ = parse_action_document(doc)
         self.assert_primitive_multiple(mat, fraction_parse(doc))
         assert mat.cells == ({1: {1: 4, 0: 3}}, {1: {1: 1}}, {})
 
@@ -388,6 +449,10 @@ class TestGenericDocuments:
         ({"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 0]]}, "denominator"),
         ({"dim_q": 1, "dim_v": 1, "rank": -2}, "rank"),
         ([1, 2], "object"),
+        ({"dim_q": 1, "dim_v": 1, "index_lower_bound": -1}, "index_lower_bound"),
+        ({"dim_q": 1, "dim_v": 1, "index_lower_bound": True}, "index_lower_bound"),
+        ({"dim_q": 1, "dim_v": 1, "index_lower_bound": 1.5}, "index_lower_bound"),
+        ({"dim_q": 1, "dim_v": 1, "index_lower_bound": 2}, "index_lower_bound"),
     ])
     def test_validation_errors_carry_location(self, doc, fragment):
         with pytest.raises(GenericActionError) as err:
@@ -397,12 +462,12 @@ class TestGenericDocuments:
     def test_one_bracket_in_a_large_document(self):
         # the matrix and every rank layer pay for the one stored form, not
         # for the dim_q x dim_v cells around it
-        mat, _ = parse_action_document(
+        mat, _, _ = parse_action_document(
             {"dim_q": 3000, "dim_v": 3000, "brackets": [[0, 0, 0, 1, 1]]})
         assert [(i, row) for i, row in enumerate(mat.cells) if row] == [(0, {0: {0: 1}})]
         res = index_of_matrix(mat)
         assert (res.index, res.decided_by) == (2999, DECIDED_BY_REDUCED_SHAPE)
 
     def test_empty_acting_algebra(self):
-        mat, _ = parse_action_document({"dim_q": 0, "dim_v": 3, "brackets": []})
+        mat, _, _ = parse_action_document({"dim_q": 0, "dim_v": 3, "brackets": []})
         assert index_of_matrix(mat).index == 3
