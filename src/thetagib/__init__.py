@@ -2,7 +2,7 @@
 
 The pipeline: a multiplicity vector determines a cyclic grading of gl_n
 (`theta_gl`); its nilpotent orbits are labeled partitions (`orbits`); each
-orbit has a graded centralizer with an explicit bracket (`centralizer`);
+orbit has a graded centralizer with explicit structure constants (`centralizer`);
 the degree-0 action on the degree minus-one part has an index computed by
 symbolic matrix rank (`index_engine`, `exact_linalg`); the grading has good
 index behaviour exactly when every orbit's index equals the rank min(r)

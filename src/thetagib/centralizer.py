@@ -20,14 +20,16 @@ structure constants of that action feed the index computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .orbits import LabeledPartition
 
 
-@dataclass(frozen=True, order=True)
-class XiElement:
-    """Basis element xi_i^{j,s}; i, j are 1-based block indices."""
+class XiElement(NamedTuple):
+    """Basis element xi_i^{j,s}; i, j are 1-based block indices.
+
+    A plain tuple (i, j, s), so it compares, sorts and hashes as one.
+    """
 
     i: int
     j: int
@@ -79,26 +81,6 @@ class GradedCentralizer:
         dj = self.lengths[j - 1] - 1
         return max(dj - di, 0) <= s <= dj
 
-    def bracket(self, x: XiElement, y: XiElement) -> dict[XiElement, int]:
-        """Commutator [x, y] as a signed combination of basis elements.
-
-        Terms whose s-index leaves the allowed range are dropped, matching
-        the convention that out-of-range symbols are zero.
-        """
-        out: dict[XiElement, int] = {}
-        s = x.s + y.s
-        if y.j == x.i and self.in_range(y.i, x.j, s):
-            z = XiElement(y.i, x.j, s)
-            out[z] = out.get(z, 0) + 1
-        if x.j == y.i and self.in_range(x.i, y.j, s):
-            z = XiElement(x.i, y.j, s)
-            v = out.get(z, 0) - 1
-            if v:
-                out[z] = v
-            else:
-                out.pop(z, None)
-        return out
-
     def action_structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
         """Brackets of the degree-0 basis against the degree-(m-1) basis.
 
@@ -112,27 +94,27 @@ class GradedCentralizer:
         """
         acting = self.by_degree[0]
         module = self.by_degree[self.m - 1]
-        col = {(v.i, v.j, v.s): k for k, v in enumerate(module)}
-        by_j: dict[int, list[tuple[int, XiElement]]] = {}
-        by_i: dict[int, list[tuple[int, XiElement]]] = {}
-        for k, v in enumerate(module):
-            by_j.setdefault(v.j, []).append((k, v))
-            by_i.setdefault(v.i, []).append((k, v))
+        col = {v: k for k, v in enumerate(module)}
+        # the module by v.j and by v.i, each v as (column, its other index, v.s)
+        by_j: dict[int, list[tuple[int, int, int]]] = {}
+        by_i: dict[int, list[tuple[int, int, int]]] = {}
+        for k, (vi, vj, vs) in enumerate(module):
+            by_j.setdefault(vj, []).append((k, vi, vs))
+            by_i.setdefault(vi, []).append((k, vj, vs))
         tensor: dict[tuple[int, int], dict[int, int]] = {}
-        for row, x in enumerate(acting):
-            # (column, v, z.i, z.j, sign) of each term, + terms first as in ``bracket``
-            terms = [(j, v, v.i, x.j, 1) for j, v in by_j.get(x.i, ())]
-            terms += [(j, v, x.i, v.j, -1) for j, v in by_i.get(x.j, ())]
+        for row, (xi, xj, xs) in enumerate(acting):
+            # (column, z.i, z.j, z.s, sign) of each term, the + term of the rule first
+            terms = [(j, vi, xj, xs + vs, 1) for j, vi, vs in by_j.get(xi, ())]
+            terms += [(j, xi, vj, xs + vs, -1) for j, vj, vs in by_i.get(xj, ())]
             cells: dict[int, dict[int, int]] = {}
-            for j, v, zi, zj, sign in terms:
-                s = x.s + v.s
+            for j, zi, zj, s, sign in terms:
                 k = col.get((zi, zj, s))
                 if k is None:
                     if not self.in_range(zi, zj, s):
                         continue  # an out-of-range symbol is zero
                     z = XiElement(zi, zj, s)
                     raise RuntimeError(
-                        f"grading violation: [{x}, {v}] contains {z} "
+                        f"grading violation: [{acting[row]}, {module[j]}] contains {z} "
                         f"of degree {self.degree(z)}"
                     )
                 entry = cells.setdefault(j, {})

@@ -31,11 +31,16 @@ from .index_engine import (
     index_of_matrix,
     parse_action_document,
 )
-from .orbits import LabeledPartition, all_nilpotent_orbits, dihedral_images, dihedral_maps
+from .orbits import (
+    LabeledPartition,
+    all_nilpotent_orbits,
+    dihedral_images,
+    dihedral_maps,
+    residue_maps,
+)
 from .theta_gl import (
     PatternFlags,
     ThetaRep,
-    dual_rep,
     pattern_predicates,
     predicted_gib,
     rotations,
@@ -106,8 +111,10 @@ def sweep_reps(spec: SweepSpec) -> list[ThetaRep]:
 
 
 def _dihedral_class(rep: ThetaRep) -> tuple[int, ...]:
-    """The least rotation of r or of its reflection ``dual_rep(r)``."""
-    return min(min(rotations(rep.r)), min(rotations(dual_rep(rep).r)))
+    """The least image of r under the residue maps of ``orbits.dihedral_maps``."""
+    m, r = rep.m, rep.r
+    return min(tuple(r[(sign * x + c) % m] for x in range(m))
+               for sign, c in residue_maps(m))
 
 
 def row_from_report(report: GibReport, rep: ThetaRep | None = None) -> ClassificationRow:

@@ -200,11 +200,15 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
     limit = _rank_limit(M, ceiling)
     if limit == 0:
         return 0
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    width = EVAL_PRIME.bit_length()
     s = M.num_indeterminates
     best = 0
     for _ in range(trials):
-        point = [rng.randrange(EVAL_PRIME) for _ in range(s)]
+        point = [bits(width) for _ in range(s)]
+        # redraw what falls outside F_p, so each coordinate stays uniform on it
+        while point and max(point) >= EVAL_PRIME:
+            point = [x if x < EVAL_PRIME else bits(width) for x in point]
         best = max(best, rank_at_point_mod(M, point, ceiling))
         if best == limit:
             break

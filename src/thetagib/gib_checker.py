@@ -58,10 +58,11 @@ carries onto each other have the same index and verdict.
 
 Both maps are isomorphisms of graded Lie algebras, so the index is equal,
 and re-sorting the image blocks into canonical order only permutes the
-rows, columns and indeterminates of the action matrix.  The driver keys
-each orbit on the least canonical block tuple among its images under the
-symmetries of r (``orbits.dihedral_images``).  The first orbit of each
-class in canonical order is computed; the others reuse its result.
+rows, columns and indeterminates of the action matrix.  The driver takes
+the orbits already grouped into these classes (``orbits.dihedral_classes``,
+which generates only the least member of each class and expands it by its
+images).  Each class's representative, its first member in canonical
+order, is computed; the other members reuse its result.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ from .index_engine import (  # the DECIDED_BY_* names are read from here too
     slice_rank,
     validate_budget,
 )
-from .orbits import LabeledPartition, all_nilpotent_orbits, dihedral_images, dihedral_maps
+# all_nilpotent_orbits is unused here, but thetabench/tracer.py wraps it by this name
+from .orbits import LabeledPartition, all_nilpotent_orbits, dihedral_classes
 from .theta_gl import ThetaRep
 
 
@@ -140,9 +142,9 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
     validate_budget(max_terms, cert_timeout)
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
-    return _verdicts(rep, [orbit], trials=trials, seed=seed, certify_all=force_certify,
-                     max_terms=max_terms, max_certifications=None,
-                     cert_timeout=cert_timeout)[0]
+    return _verdicts(rep, [(orbit, [orbit])], trials=trials, seed=seed,
+                     certify_all=force_certify, max_terms=max_terms,
+                     max_certifications=None, cert_timeout=cert_timeout)[0]
 
 
 class _OrbitJob:
@@ -166,28 +168,30 @@ def _queue_key(job: _OrbitJob) -> tuple:
     return size.rows * size.cols, job.orbit.sort_key()
 
 
-def _verdicts(rep: ThetaRep, orbits: list[LabeledPartition], *, trials: int, seed: int,
-              certify_all: bool, max_terms: int, max_certifications: int | None,
+def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledPartition]]],
+              *, trials: int, seed: int, certify_all: bool, max_terms: int,
+              max_certifications: int | None,
               cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
-    """The verdicts of ``orbits``: a cheap pass per dihedral class, then the certify queue."""
-    rank = rep.rank()
-    symmetries = dihedral_maps(rep.r, rep.r)
-    jobs: dict[tuple, _OrbitJob] = {}  # dihedral class -> its representative's job
-    members: list[tuple[LabeledPartition, _OrbitJob]] = []
-    for orbit in orbits:
-        key = min(dihedral_images(orbit.blocks, rep.m, symmetries))
-        job = jobs.get(key)
-        if job is None:
-            cent = build_centralizer(orbit, rep.m)
-            matrix = build_action_matrix(cent)
-            # the index is at least min(r), so the generic rank at most dim - min(r)
-            prob = probabilistic_rank(matrix, trials, seed, ceiling=matrix.cols - rank)
-            result, reduced = cheap_proof(matrix, prob, rank)
-            job = jobs[key] = _OrbitJob(orbit, len(cent.by_degree[0]), matrix,
-                                        result, reduced)
-        members.append((orbit, job))
+    """The verdicts of the members of ``classes``, in canonical order.
 
-    pending = sorted((j for j in jobs.values()
+    ``classes`` holds (representative, members) pairs of dihedral classes.
+    The cheap pass runs on each representative, then the certify queue.
+    """
+    rank = rep.rank()
+    jobs: list[_OrbitJob] = []
+    members: list[tuple[LabeledPartition, _OrbitJob]] = []
+    for orbit, class_members in classes:
+        cent = build_centralizer(orbit, rep.m)
+        matrix = build_action_matrix(cent)
+        # the index is at least min(r), so the generic rank at most dim - min(r)
+        prob = probabilistic_rank(matrix, trials, seed, ceiling=matrix.cols - rank)
+        result, reduced = cheap_proof(matrix, prob, rank)
+        job = _OrbitJob(orbit, len(cent.by_degree[0]), matrix, result, reduced)
+        jobs.append(job)
+        members.extend((member, job) for member in class_members)
+    members.sort(key=lambda pair: pair[0].sort_key())
+
+    pending = sorted((j for j in jobs
                       if certify_all or j.result.decided_by == UNDECIDED),
                      key=_queue_key)
     if not certify_all and max_certifications is not None:
@@ -228,7 +232,7 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     validate_budget(max_terms, cert_timeout)
     if max_certifications is not None and max_certifications < 0:
         raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
-    verdicts = _verdicts(rep, all_nilpotent_orbits(rep), trials=trials, seed=seed,
+    verdicts = _verdicts(rep, dihedral_classes(rep), trials=trials, seed=seed,
                          certify_all=certify_all, max_terms=max_terms,
                          max_certifications=max_certifications, cert_timeout=cert_timeout)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)

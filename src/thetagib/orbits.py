@@ -11,6 +11,7 @@ belongs to the grading r exactly when those residue counts add up to r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from .theta_gl import ThetaRep
 
@@ -92,14 +93,19 @@ def _block_usage(length: int, label: int, m: int) -> list[int]:
 def dihedral_maps(r: tuple[int, ...], target: tuple[int, ...]) -> list[tuple[int, int]]:
     """The residue maps x -> sign*x + c (mod m) that carry grading r onto ``target``.
 
-    Each is a pair (sign, c) with sign +1 (a rotation) or -1 (a reflection)
-    and 0 <= c < m, listed rotations first and by c; the map is allowed
-    when target[sign*x + c] = r[x] for every residue x.  With
-    ``target == r`` they are the symmetries of r, the identity (1, 0) first.
+    Each is a pair (sign, c) from ``residue_maps(m)``, listed in its order;
+    the map is allowed when target[sign*x + c] = r[x] for every residue x.
+    With ``target == r`` they are the symmetries of r, the identity (1, 0)
+    first.
     """
     m = len(r)
-    return [(sign, c) for sign in (1, -1) for c in range(m)
+    return [(sign, c) for sign, c in residue_maps(m)
             if all(target[(sign * x + c) % m] == r[x] for x in range(m))]
+
+
+def residue_maps(m: int) -> list[tuple[int, int]]:
+    """All 2m maps x -> sign*x + c (mod m): rotations (sign +1), then reflections, by c."""
+    return [(sign, c) for sign in (1, -1) for c in range(m)]
 
 
 def dihedral_images(blocks, m: int, maps):
@@ -127,51 +133,105 @@ def zero_orbit(rep: ThetaRep) -> LabeledPartition:
     return LabeledPartition(tuple(blocks))
 
 
-def enumerate_orbits(rep: ThetaRep) -> list[LabeledPartition]:
-    """The nonzero nilpotent orbits of ``rep``, canonical and duplicate-free.
+def _least_block_tuples(r: tuple[int, ...], symmetries) -> list[tuple[tuple[int, int], ...]]:
+    """The least canonical block tuple of each dihedral class of orbits of r.
 
-    Blocks are generated directly in canonical order (length descending,
-    label ascending within a length) against per-residue budgets, so every
-    multiset appears exactly once.  The orbit of 0 (all blocks of length 1)
-    is left out of the enumeration count, matching the usual convention for
-    orbit lists; ``all_nilpotent_orbits`` prepends it for consumers that
-    check every nilpotent element.
+    Orderly generation (Read, Ann. Discrete Math. 2, 1978).  Members of a
+    class share their block lengths, so canonical order compares them by
+    the label sequence, one length group at a time, longest first.  Blocks
+    are placed in that order, labels nondecreasing inside a group.  When a
+    group is finished, each still active symmetry (one under which every
+    earlier group's labels were their own image) sorts its image of the
+    group's labels: a smaller image means no completion is least, so the
+    branch is pruned; a larger one means this symmetry's image of every
+    completion is larger, so it is dropped.  The length-1 group takes what
+    the residue budget leaves.  Tuples come out in canonical order, the
+    zero orbit last.
     """
-    m = rep.m
-    budget = list(rep.r)
-    out: list[LabeledPartition] = []
+    m, n = len(r), sum(r)
+    usage = [[tuple(_block_usage(l, t, m)) for t in range(m)] for l in range(n + 1)]
+    out: list[tuple[tuple[int, int], ...]] = []
     chosen: list[tuple[int, int]] = []
 
-    def recurse(remaining: int, max_len: int, min_label: int) -> None:
-        if remaining == 0:
-            if chosen[0][0] > 1:
-                out.append(LabeledPartition(tuple(chosen)))
-            return
-        for length in range(min(max_len, remaining), 0, -1):
-            first_label = min_label if length == max_len else 0
-            for label in range(first_label, m):
-                use = _block_usage(length, label, m)
-                if all(budget[c] >= use[c] for c in range(m)):
-                    for c in range(m):
-                        budget[c] -= use[c]
-                    chosen.append((length, label))
-                    recurse(remaining - length, length, label)
-                    chosen.pop()
-                    for c in range(m):
-                        budget[c] += use[c]
+    def still_active(length: int, group: list[int], active: list) -> list | None:
+        """The symmetries still active after ``group``, or None to prune."""
+        kept = []
+        for sign, c in active:
+            if sign == 1:
+                image = sorted((t + c) % m for t in group)
+            else:
+                image = sorted((c - t - length + 1) % m for t in group)
+            if image < group:
+                return None
+            if image == group:
+                kept.append((sign, c))
+        return kept
 
-    recurse(rep.n, rep.n, 0)
-    out.sort(key=LabeledPartition.sort_key)
+    def grow(length: int, budget: tuple[int, ...], remaining: int,
+             group: list[int], active: list) -> None:
+        if length == 1:
+            # an active symmetry fixes every longer group and r, so also the
+            # budget left, which the length-1 blocks fill: their image is equal
+            out.append(tuple(chosen) + tuple((1, t) for t in range(m) for _ in range(budget[t])))
+            return
+        if remaining >= length:
+            for t in range(group[-1] if group else 0, m):
+                left = tuple(map(sub, budget, usage[length][t]))
+                if min(left) >= 0:
+                    group.append(t)
+                    chosen.append((length, t))
+                    grow(length, left, remaining - length, group, active)
+                    chosen.pop()
+                    group.pop()
+        if group:
+            active = still_active(length, group, active)
+            if active is None:
+                return
+        # no block is longer than what is left to place
+        grow(max(1, min(length - 1, remaining)), budget, remaining, [], active)
+
+    grow(n, r, n, [], symmetries[1:])
     return out
+
+
+def dihedral_classes(rep: ThetaRep) -> list[tuple[LabeledPartition, list[LabeledPartition]]]:
+    """Every nilpotent orbit of ``rep``, zero included, grouped by dihedral class.
+
+    Two orbits are in one class when a symmetry of r, a rotation or
+    reflection of the residues (``dihedral_maps(r, r)``), carries one onto
+    the other.  Each class is a pair (representative, members): the
+    members are the distinct images of the representative in canonical
+    order, the representative first, and the classes come in canonical
+    order of their representatives.
+    """
+    symmetries = dihedral_maps(rep.r, rep.r)
+    classes = []
+    for least in _least_block_tuples(rep.r, symmetries):
+        # members share their lengths, so plain tuple order is canonical order
+        members = [LabeledPartition(b)
+                   for b in sorted(set(dihedral_images(least, rep.m, symmetries)))]
+        classes.append((members[0], members))
+    return classes
 
 
 def all_nilpotent_orbits(rep: ThetaRep) -> list[LabeledPartition]:
     """Every nilpotent orbit including zero, in canonical order.
 
     All blocks of the zero orbit have length 1, so it sorts after every
-    nonzero orbit and the concatenation stays canonically sorted.
+    nonzero orbit.
     """
-    return enumerate_orbits(rep) + [zero_orbit(rep)]
+    return sorted((orbit for _, members in dihedral_classes(rep) for orbit in members),
+                  key=LabeledPartition.sort_key)
+
+
+def enumerate_orbits(rep: ThetaRep) -> list[LabeledPartition]:
+    """The nonzero nilpotent orbits of ``rep``, canonical and duplicate-free.
+
+    The orbit of 0 (all blocks of length 1) is left out, matching the usual
+    convention for orbit lists; ``all_nilpotent_orbits`` keeps it for
+    consumers that check every nilpotent element.
+    """
+    return all_nilpotent_orbits(rep)[:-1]
 
 
 def orbit_dimension(partition: LabeledPartition, rep: ThetaRep) -> int:

@@ -18,7 +18,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from thetagib import ThetaRep, check_rep
-from thetagib.centralizer import GradedCentralizer
+from thetagib.centralizer import GradedCentralizer, XiElement
 from thetagib.cli import SweepSpec, sweep_reps
 from thetagib.exact_linalg import LinearFormMatrix
 
@@ -78,6 +78,73 @@ def brute_force_orbit_keys(rep: ThetaRep, include_zero: bool = False):
     return found
 
 
+def _oracle_canonical(block):
+    return -block[0], block[1]
+
+
+def _oracle_block_usage(length: int, label: int, m: int) -> list[int]:
+    use = [length // m] * m
+    for j in range(length % m):
+        use[(label + j) % m] += 1
+    return use
+
+
+def recursive_orbit_blocks(rep: ThetaRep) -> list[tuple]:
+    """Every nilpotent orbit of ``rep``, zero included, as canonical block tuples.
+
+    Blocks are placed one at a time against per-residue budgets, length
+    descending and labels ascending within a length, so each multiset comes
+    once; the tuples are then sorted into canonical order.  This is the
+    enumerator that orderly generation replaced.
+    """
+    m = rep.m
+    budget = list(rep.r)
+    out = []
+    chosen = []
+
+    def recurse(remaining: int, max_len: int, min_label: int) -> None:
+        if remaining == 0:
+            out.append(tuple(chosen))
+            return
+        for length in range(min(max_len, remaining), 0, -1):
+            first_label = min_label if length == max_len else 0
+            for label in range(first_label, m):
+                use = _oracle_block_usage(length, label, m)
+                if all(budget[c] >= use[c] for c in range(m)):
+                    for c in range(m):
+                        budget[c] -= use[c]
+                    chosen.append((length, label))
+                    recurse(remaining - length, length, label)
+                    chosen.pop()
+                    for c in range(m):
+                        budget[c] += use[c]
+
+    recurse(rep.n, rep.n, 0)
+    out.sort(key=lambda blocks: tuple(map(_oracle_canonical, blocks)))
+    return out
+
+
+def symmetry_images(rep: ThetaRep, blocks) -> frozenset:
+    """The canonical block tuples of ``blocks`` under each map that keeps ``rep``.
+
+    Every rotation t -> t + c and reflection (l, t) -> (l, c - t - l + 1) of
+    the labels is tried, and an image is kept when its residue counts are
+    r again; the identity is among them.
+    """
+    m = rep.m
+    images = set()
+    for c in range(m):
+        for plain in ([(l, (t + c) % m) for l, t in blocks],
+                      [(l, (c - t - l + 1) % m) for l, t in blocks]):
+            counts = [0] * m
+            for l, t in plain:
+                for c2, u in enumerate(_oracle_block_usage(l, t, m)):
+                    counts[c2] += u
+            if counts == list(rep.r):
+                images.add(tuple(sorted(plain, key=_oracle_canonical)))
+    return frozenset(images)
+
+
 # ---------------------------------------------------------------------------
 # Graded dimension oracle: count matrix units by eigen-exponent difference.
 
@@ -129,6 +196,28 @@ def cell_exponents(cent: GradedCentralizer):
     return exps
 
 
+def bracket(cent: GradedCentralizer, x: XiElement, y: XiElement) -> dict[XiElement, int]:
+    """Commutator [x, y] in ``cent`` as a signed combination of basis elements.
+
+    The commutator rule of the ``centralizer`` module docstring, term by
+    term: terms whose s-index leaves the allowed range are dropped, matching
+    the convention that out-of-range symbols are zero.
+    """
+    out: dict[XiElement, int] = {}
+    s = x.s + y.s
+    if y.j == x.i and cent.in_range(y.i, x.j, s):
+        z = XiElement(y.i, x.j, s)
+        out[z] = out.get(z, 0) + 1
+    if x.j == y.i and cent.in_range(x.i, y.j, s):
+        z = XiElement(x.i, y.j, s)
+        v = out.get(z, 0) - 1
+        if v:
+            out[z] = v
+        else:
+            out.pop(z, None)
+    return out
+
+
 def dense_action_structure_constants(cent: GradedCentralizer):
     """The action tensor of ``cent`` from ``bracket`` on every pair (x, v).
 
@@ -140,7 +229,7 @@ def dense_action_structure_constants(cent: GradedCentralizer):
     tensor = {}
     for i, x in enumerate(cent.by_degree[0]):
         for j, v in enumerate(module):
-            terms = cent.bracket(x, v)
+            terms = bracket(cent, x, v)
             if terms:
                 tensor[(i, j)] = {col[z]: c for z, c in terms.items()}
     return tensor

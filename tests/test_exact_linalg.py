@@ -87,6 +87,28 @@ class TestProbabilisticRank:
         assert probabilistic_rank(m, 3, seed=0) == 2
         assert certified_rank(m) == 2
 
+    def test_points_are_redrawn_into_the_field(self, monkeypatch):
+        # a draw of p itself is not a residue mod p and must be drawn again
+        import thetagib.exact_linalg as el
+
+        draws = iter([EVAL_PRIME, 5, EVAL_PRIME, EVAL_PRIME, 7, 9])
+
+        class Draws:
+            def __init__(self, seed):
+                pass
+
+            def getrandbits(self, k):
+                assert 2 ** k > EVAL_PRIME >= 2 ** (k - 1)
+                return next(draws)
+
+        points = []
+        monkeypatch.setattr(el.random, "Random", Draws)
+        monkeypatch.setattr(el, "rank_at_point_mod",
+                            lambda m, point, ceiling: points.append(point) or 0)
+        m = matrix_of([[lf(a1=1, a2=1, a3=1)]], 3)
+        assert probabilistic_rank(m, 1) == 0
+        assert points == [[9, 5, 7]]
+
     def test_trials_must_be_positive(self):
         m = matrix_of([[lf(a1=1)]], 1)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import cached_check_rep
+from helpers import cached_check_rep, recursive_orbit_blocks, symmetry_images
 from thetagib import LabeledPartition, ThetaRep, check_orbit, check_rep
 from thetagib.gib_checker import (
     DECIDED_BY_BOUND_MATCH,
@@ -11,6 +11,7 @@ from thetagib.gib_checker import (
 )
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 from thetagib.theta_gl import dual_rep
+from test_golden_verdicts import golden_reps
 
 
 class TestCheckOrbit:
@@ -272,6 +273,17 @@ class TestShiftClasses:
                           for c in range(rep.m)}
                 reflected_only += v.computed_as not in shifts
         assert reflected_only > 0
+
+    def test_computed_as_is_the_first_orbit_of_its_class(self):
+        # on every golden grading, each verdict reuses the first orbit in
+        # canonical order of its class, as keying every orbit did
+        for rep in golden_reps():
+            first = {}
+            for blocks in recursive_orbit_blocks(rep):
+                first.setdefault(symmetry_images(rep, blocks), blocks)
+            report = cached_check_rep(rep.r)
+            assert [(v.orbit.blocks, v.computed_as.blocks) for v in report.verdicts] == \
+                [(b, first[symmetry_images(rep, b)]) for b in recursive_orbit_blocks(rep)], rep
 
     @pytest.mark.parametrize("r, calls", [((3, 3, 3), 51), ((2, 2, 2, 2), 36),
                                           ((2, 3, 4), 105)])

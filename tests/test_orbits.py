@@ -4,7 +4,12 @@ import time
 
 import pytest
 
-from helpers import brute_force_orbit_keys, positive_rank_reps
+from helpers import (
+    brute_force_orbit_keys,
+    positive_rank_reps,
+    recursive_orbit_blocks,
+    symmetry_images,
+)
 from thetagib import (
     LabeledPartition,
     ThetaRep,
@@ -13,7 +18,8 @@ from thetagib import (
     normalize_cyclic,
     orbit_dimension,
 )
-from thetagib.orbits import all_nilpotent_orbits, zero_orbit
+from thetagib.orbits import all_nilpotent_orbits, dihedral_classes, zero_orbit
+from test_golden_verdicts import golden_reps
 
 
 class TestValidity:
@@ -88,6 +94,46 @@ class TestEnumeration:
             assert len(enumerate_orbits(rotated)) == count
             assert len(enumerate_orbits(dual_rep(rep))) == count
             assert len(enumerate_orbits(normalize_cyclic(rep))) == count
+
+
+class TestDihedralClasses:
+    """Orderly generation: one least member per class, expanded by its images."""
+
+    @pytest.mark.parametrize("rep", golden_reps() + [ThetaRep.of(5, 5, 5), ThetaRep.of(5, 5, 6),
+                                                     ThetaRep.of(2, 3, 2, 3)], ids=str)
+    def test_orbit_list_equals_the_recursion(self, rep):
+        assert [p.blocks for p in all_nilpotent_orbits(rep)] == recursive_orbit_blocks(rep)
+
+    REPS = [(4, 4, 4), (3, 3, 3, 3), (2, 3, 2, 3), (2, 2, 2, 2), (3, 3, 2), (2, 3, 4),
+            (1, 2, 2, 2, 1, 0), (1, 1, 1, 1, 1, 1), (2, 0, 2, 0), (1, 0)]
+
+    @pytest.mark.parametrize("r", REPS)
+    def test_classes_partition_the_orbits(self, r):
+        rep = ThetaRep.of(*r)
+        members = [p.blocks for _, ms in dihedral_classes(rep) for p in ms]
+        assert len(set(members)) == len(members)
+        assert sorted(members) == sorted(recursive_orbit_blocks(rep))
+
+    @pytest.mark.parametrize("r", REPS)
+    def test_representative_is_least_and_members_are_its_images(self, r):
+        rep = ThetaRep.of(*r)
+        classes = dihedral_classes(rep)
+        for least, members in classes:
+            images = symmetry_images(rep, least.blocks)
+            assert {p.blocks for p in members} == images
+            assert members[0] == least
+            assert least.sort_key() == min(p.sort_key() for p in members)
+        keys = [least.sort_key() for least, _ in classes]
+        assert keys == sorted(keys)
+        assert classes[-1][0] == zero_orbit(rep)
+
+    @pytest.mark.parametrize("r, classes, orbits", [((4, 4, 4), 186, 788),
+                                                     ((3, 3, 3, 3), 219, 1267),
+                                                     ((5, 5, 5), 614, 2899)])
+    def test_class_counts(self, r, classes, orbits):
+        found = dihedral_classes(ThetaRep.of(*r))
+        assert len(found) == classes
+        assert sum(len(members) for _, members in found) == orbits
 
 
 class TestOrbitDimension:

@@ -13,6 +13,7 @@ import numpy as np
 
 from helpers import (
     all_reps,
+    bracket,
     cached_check_rep,
     cell_exponents,
     positive_rank_reps,
@@ -47,7 +48,7 @@ def matrix_model_agrees(cent) -> None:
     expected = np.zeros_like(comm)
     for x in elems:
         for y in elems:
-            for z, c in cent.bracket(x, y).items():
+            for z, c in bracket(cent, x, y).items():
                 expected[idx[x], idx[y]] += c * mats[idx[z]]
     assert np.array_equal(comm, expected)
 
@@ -80,7 +81,7 @@ class TestJacobi:
         def bracket_combo(x, combo):
             out = {}
             for z, c in combo.items():
-                for w, d in cent.bracket(x, z).items():
+                for w, d in bracket(cent, x, z).items():
                     v = out.get(w, 0) + c * d
                     if v:
                         out[w] = v
@@ -90,10 +91,10 @@ class TestJacobi:
 
         for x in elems:
             for y in elems:
-                xy = cent.bracket(x, y)
+                xy = bracket(cent, x, y)
                 for z in elems:
-                    acc = bracket_combo(x, cent.bracket(y, z))
-                    for src in (bracket_combo(y, cent.bracket(z, x)),
+                    acc = bracket_combo(x, bracket(cent, y, z))
+                    for src in (bracket_combo(y, bracket(cent, z, x)),
                                 bracket_combo(z, xy)):
                         for w, c in src.items():
                             v = acc.get(w, 0) + c
