@@ -70,9 +70,6 @@ class GradedCentralizer:
     def dim(self) -> int:
         return sum(len(b) for b in self.by_degree)
 
-    def dims_by_degree(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.by_degree)
-
     def degree(self, x: XiElement) -> int:
         return (x.s + self.labels[x.j - 1] - self.labels[x.i - 1]) % self.m
 

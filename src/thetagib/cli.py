@@ -151,12 +151,6 @@ def row_from_report(report: GibReport, rep: ThetaRep | None = None) -> Classific
     )
 
 
-def _check_rep_task(args) -> GibReport:
-    rep, trials, seed, certify_all, max_terms, cert_timeout = args
-    return check_rep(rep, trials=trials, seed=seed, certify_all=certify_all,
-                     max_terms=max_terms, cert_timeout=cert_timeout)
-
-
 def sweep(spec: SweepSpec, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
           certify_all: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
           cert_timeout: float | None = None,
@@ -175,13 +169,13 @@ def sweep(spec: SweepSpec, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     firsts: dict[tuple[int, ...], ThetaRep] = {}
     for rep in reps:
         firsts.setdefault(_dihedral_class(rep), rep)
-    tasks = [(rep, trials, seed, certify_all, max_terms, cert_timeout)
-             for rep in firsts.values()]
-    if jobs > 1 and len(tasks) > 1:
+    task = functools.partial(check_rep, trials=trials, seed=seed, certify_all=certify_all,
+                             max_terms=max_terms, cert_timeout=cert_timeout)
+    if jobs > 1 and len(firsts) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_check_rep_task, tasks))
+            reports = list(pool.map(task, firsts.values()))
     else:
-        reports = [_check_rep_task(t) for t in tasks]
+        reports = [task(rep) for rep in firsts.values()]
     by_class = dict(zip(firsts, reports))
     return [row_from_report(by_class[_dihedral_class(rep)], rep) for rep in reps]
 

@@ -6,36 +6,25 @@ for every nilpotent orbit representative e; min(r) is always a lower bound
 for that index.  The per-orbit procedure:
 
   1. build the graded centralizer and the action matrix A(a);
-  2. evaluate A at random prime-field points; the best rank found, pr, is a
-     lower bound for the generic rank, so dim - pr is an upper bound for the
-     index.  Since the index is at least min(r), dim - min(r) is a proven
-     ceiling for the generic rank: a trial stops its elimination there, and
-     once one trial reaches it no further trial is run, as none could find
-     more.  pr is the same as with every trial run to the end;
-  3. if dim - pr = min(r) the bounds pinch and the verdict is a proven TRUE
-     with no symbolic work;
-  4. otherwise reduce A over Q; if pr equals the reduced row or column
-     count, the generic rank is pinned to pr exactly and the verdict is a
-     proven FALSE;
-  5. otherwise certify the rank by fraction-free elimination, which decides
-     either way; if that blows the resource budget the orbit is UNDECIDED,
-     never silently wrong.  The elimination runs on a linear slice through
-     the dual module that meets every generic orbit of the stabilizer
-     (``index_engine.slice_rank``), in index + 1 indeterminates instead of
-     dim V.
+  2. prove its index with ``index_engine.prove_indices``, min(r) the
+     target: a bound match is a proven TRUE, a reduced shape a proven
+     FALSE, and a certified rank decides either way.  A blown resource
+     budget leaves the orbit UNDECIDED, never silently wrong.  The
+     certification runs on a linear slice through the dual module that
+     meets every generic orbit of the stabilizer
+     (``index_engine.slice_rank``), in index + 1 indeterminates instead
+     of dim V.
 
-Steps 3-4 are ``index_engine.cheap_proof`` and step 5 is
-``index_engine.certify``.  ``index-file`` shares steps 2-5 through
-``index_engine.index_of_matrix``, with a document's ``index_lower_bound``
-(min(r) for one that ``export_action`` wrote) in place of min(r), both as
-the ceiling of step 2 and as the bound of step 3; a bare declared ``rank``
-is no bound.  It certifies over all indeterminates, since a document need
-not come from a group action.
+``index-file`` runs the same ladder through ``index_engine.index_of_matrix``,
+with a document's ``index_lower_bound`` (min(r) for one that
+``export_action`` wrote) as the target; a bare declared ``rank`` is no
+bound.  It certifies over all indeterminates, since a document need not
+come from a group action.
 
-A whole grading has the property iff every orbit does.  The driver delays
-the expensive step 5, collecting suspicious orbits from the cheap pass and
-certifying them smallest-matrix-first until all are resolved, so a FALSE
-report always names every bad orbit with a rank certificate.
+A whole grading has the property iff every orbit does.  ``prove_indices``
+runs the cheap proofs on every class before it certifies any, and without
+a cap it certifies every class they leave, so a FALSE report names every
+bad orbit with a proof.
 
 The driver also computes each orbit once per dihedral class: the orbits
 that a symmetry of r, a rotation or a reflection of the residues mod m,
@@ -70,12 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .centralizer import build_centralizer
-from .exact_linalg import (
-    DEFAULT_TERM_LIMIT,
-    DEFAULT_TRIALS,
-    LinearFormMatrix,
-    probabilistic_rank,
-)
+from .exact_linalg import DEFAULT_TERM_LIMIT, DEFAULT_TRIALS
 from .index_engine import (  # the DECIDED_BY_* names are read from here too
     DECIDED_BY_BOUND_MATCH,
     DECIDED_BY_CERTIFIED_RANK,
@@ -83,8 +67,7 @@ from .index_engine import (  # the DECIDED_BY_* names are read from here too
     UNDECIDED,
     IndexResult,
     build_action_matrix,
-    certify,
-    cheap_proof,
+    prove_indices,
     slice_rank,
     validate_budget,
 )
@@ -147,64 +130,30 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
                      max_certifications=None, cert_timeout=cert_timeout)[0]
 
 
-class _OrbitJob:
-    """A dihedral class's representative between the cheap pass and the certify queue."""
-
-    __slots__ = ("orbit", "dim_stab", "matrix", "result", "reduced")
-
-    def __init__(self, orbit: LabeledPartition, dim_stab: int,
-                 matrix: LinearFormMatrix, result: IndexResult,
-                 reduced: LinearFormMatrix | None):
-        self.orbit = orbit
-        self.dim_stab = dim_stab
-        self.matrix = matrix
-        self.result = result
-        self.reduced = reduced
-
-
-def _queue_key(job: _OrbitJob) -> tuple:
-    """Certify order: smallest reduced matrix first (unreduced if a bound match skipped it)."""
-    size = job.matrix if job.reduced is None else job.reduced
-    return size.rows * size.cols, job.orbit.sort_key()
-
-
 def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledPartition]]],
               *, trials: int, seed: int, certify_all: bool, max_terms: int,
               max_certifications: int | None,
               cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
     """The verdicts of the members of ``classes``, in canonical order.
 
-    ``classes`` holds (representative, members) pairs of dihedral classes.
-    The cheap pass runs on each representative, then the certify queue.
+    ``classes`` holds (representative, members) pairs of dihedral classes,
+    in canonical order of their representatives.  ``prove_indices`` proves
+    the index of each representative's action matrix, min(r) its target.
     """
     rank = rep.rank()
-    jobs: list[_OrbitJob] = []
-    members: list[tuple[LabeledPartition, _OrbitJob]] = []
-    for orbit, class_members in classes:
-        cent = build_centralizer(orbit, rep.m)
-        matrix = build_action_matrix(cent)
-        # the index is at least min(r), so the generic rank at most dim - min(r)
-        prob = probabilistic_rank(matrix, trials, seed, ceiling=matrix.cols - rank)
-        result, reduced = cheap_proof(matrix, prob, rank)
-        job = _OrbitJob(orbit, len(cent.by_degree[0]), matrix, result, reduced)
-        jobs.append(job)
-        members.extend((member, job) for member in class_members)
-    members.sort(key=lambda pair: pair[0].sort_key())
-
-    pending = sorted((j for j in jobs
-                      if certify_all or j.result.decided_by == UNDECIDED),
-                     key=_queue_key)
-    if not certify_all and max_certifications is not None:
-        pending = pending[:max_certifications]
-    for job in pending:
-        job.result = certify(job.matrix, job.result, job.reduced, max_terms, cert_timeout,
-                             slice_rank)
-
-    return tuple(
-        OrbitVerdict(orbit=orbit, computed_as=j.orbit, dim_stabilizer=j.dim_stab,
-                     index_result=j.result,
-                     gib=None if j.result.decided_by == UNDECIDED else j.result.index == rank)
-        for orbit, j in members)
+    matrices = [build_action_matrix(build_centralizer(orbit, rep.m)) for orbit, _ in classes]
+    results = prove_indices([(matrix, rank) for matrix in matrices], trials=trials, seed=seed,
+                            certify_all=certify_all, max_terms=max_terms,
+                            cert_timeout=cert_timeout, max_certifications=max_certifications,
+                            rank=slice_rank)
+    verdicts = [
+        OrbitVerdict(orbit=member, computed_as=orbit, dim_stabilizer=matrix.rows,
+                     index_result=result,
+                     gib=None if result.decided_by == UNDECIDED else result.index == rank)
+        for (orbit, members), matrix, result in zip(classes, matrices, results)
+        for member in members]
+    verdicts.sort(key=lambda v: v.orbit.sort_key())
+    return tuple(verdicts)
 
 
 def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
@@ -217,17 +166,13 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     Orbits that a rotation or reflection keeping the grading carries onto
     each other are computed once (see the module docstring): the first of
     each class in canonical order is its representative, and every verdict
-    names the representative it reuses as ``computed_as``.  The cheap pass
-    (probabilistic rank, bound match, reduced shape) runs first over every
-    representative; those it leaves undecided are certified in order of
-    reduced matrix size, so the expensive symbolic eliminations happen on
-    the smallest matrices first.
-    ``max_certifications`` caps the number of certification *attempts*, a
-    run that exceeds ``max_terms`` or ``cert_timeout`` seconds included;
-    classes past the cap stay undecided.  Without a cap every suspicious
+    names the representative it reuses as ``computed_as``.  The
+    representatives' indices are proven by ``prove_indices``, which takes
+    ``certify_all`` and ``max_certifications`` as they are: the cap counts
+    certification *attempts*, a run that exceeds ``max_terms`` or
+    ``cert_timeout`` seconds included.  Without a cap every suspicious
     class is resolved, which keeps the report seed-independent and the
-    bad-orbit list complete.  ``certify_all`` certifies every class and
-    ignores the cap.
+    bad-orbit list complete.
     """
     validate_budget(max_terms, cert_timeout)
     if max_certifications is not None and max_certifications < 0:

@@ -62,6 +62,10 @@ class IndexResult:
     decided_by: str
 
 
+#: A certifying rank routine, called as rank(matrix, reduced, max_terms, timeout).
+RankRoutine = Callable[[LinearFormMatrix, LinearFormMatrix, int, float | None], int]
+
+
 def validate_budget(max_terms: int, cert_timeout: float | None) -> None:
     """Reject a certification budget that no run could keep to."""
     if max_terms < 0:
@@ -76,13 +80,18 @@ def _index_result(dim: int, prob: int, cert: int | None, decided_by: str) -> Ind
                        certified=cert is not None, decided_by=decided_by)
 
 
-def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
+def cheap_proof(matrix: LinearFormMatrix, target: int | None,
+                trials: int = DEFAULT_TRIALS, seed: int = 0,
                 ) -> tuple[IndexResult, LinearFormMatrix | None]:
     """Prove the index of ``matrix`` without symbolic elimination, if possible.
 
-    ``prob`` is the probabilistic rank of ``matrix``; ``target`` is a lower
-    bound for the index that the caller already has (min(r) for an orbit,
-    a document's ``index_lower_bound``) or None.  The proofs, cheapest first:
+    ``target`` is a proven lower bound for the index (min(r) for an orbit,
+    a document's ``index_lower_bound``) or None.  It is a premise, so
+    ``cols - target`` is a proven ceiling for the generic rank: the
+    ``trials`` F_p trials of ``probabilistic_rank`` stop their eliminations
+    there, and once one trial reaches it no further trial runs, as none
+    could find more.  Their best rank, prob, is the same as with every
+    trial run to the end.  The proofs, cheapest first:
 
       1. bound match: dim - prob is an upper bound for the index, so if it
          equals ``target`` the index is ``target``;
@@ -94,6 +103,8 @@ def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
     matrix, or None when step 1 decided without reducing.
     """
     dim = matrix.cols
+    ceiling = None if target is None else dim - target
+    prob = probabilistic_rank(matrix, trials, seed, ceiling=ceiling)
     if target is not None and dim - prob == target:
         return _index_result(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
     reduced = ground_field_reduce(matrix)
@@ -105,8 +116,7 @@ def cheap_proof(matrix: LinearFormMatrix, prob: int, target: int | None,
 def certify(matrix: LinearFormMatrix, result: IndexResult,
             reduced: LinearFormMatrix | None, max_terms: int,
             cert_timeout: float | None,
-            rank: Callable[[LinearFormMatrix, LinearFormMatrix, int, float | None], int]
-            | None = None) -> IndexResult:
+            rank: RankRoutine | None = None) -> IndexResult:
     """The certified rank of ``matrix``, after ``cheap_proof`` gave ``result``.
 
     ``reduced`` is the reduction ``cheap_proof`` returned; None reduces here.
@@ -147,6 +157,39 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
                            f"{result.prob_rank}, a lower bound for it")
     return _index_result(result.dim_module, result.prob_rank, cert,
                          DECIDED_BY_CERTIFIED_RANK)
+
+
+def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
+                  trials: int, seed: int, certify_all: bool, max_terms: int,
+                  cert_timeout: float | None, max_certifications: int | None = None,
+                  rank: RankRoutine | None = None) -> list[IndexResult]:
+    """The index of each (matrix, target) pair of ``problems``, in order.
+
+    ``cheap_proof(matrix, target, trials, seed)`` runs on every pair first.
+    Those it leaves undecided, or all under ``certify_all``, then go to
+    ``certify`` with ``rank``, smallest reduced matrix first (the unreduced
+    one after a bound match), ties in the given order, so the expensive
+    eliminations run on the smallest matrices first.  Unless
+    ``certify_all``, at most ``max_certifications`` (None: no cap) are
+    attempted, a run that blows its budget included; a result past the
+    cap keeps its cheaper proof or stays ``UNDECIDED``.
+    """
+    proofs = [cheap_proof(matrix, target, trials, seed) for matrix, target in problems]
+    results = [result for result, _ in proofs]
+
+    def size(i: int) -> int:
+        reduced = proofs[i][1]
+        shape = problems[i][0] if reduced is None else reduced
+        return shape.rows * shape.cols
+
+    queue = sorted((i for i, result in enumerate(results)
+                    if certify_all or result.decided_by == UNDECIDED), key=size)
+    if not certify_all and max_certifications is not None:
+        queue = queue[:max_certifications]
+    for i in queue:
+        results[i] = certify(problems[i][0], results[i], proofs[i][1], max_terms,
+                             cert_timeout, rank)
+    return results
 
 
 #: Base-point entries of a slice attempt lie in [-SLICE_POINT_RANGE, SLICE_POINT_RANGE].
@@ -246,28 +289,25 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
                     force_certify: bool = False,
                     max_terms: int = DEFAULT_TERM_LIMIT,
                     cert_timeout: float | None = None) -> IndexResult:
-    """Index of the action encoded by ``matrix``: ``cheap_proof``, then ``certify``.
+    """Index of the action encoded by ``matrix``, by ``prove_indices``.
 
     ``target`` is a proven lower bound for the index, such as min(r) for
-    an exported orbit, or None.  It is a premise, used as the orbit driver
-    uses min(r): ``cols - target`` is a ceiling for the generic rank that
-    ends the F_p trials, and a probabilistic index equal to ``target`` is
-    a bound match.  ``declared`` is a claimed index and no premise: it
-    neither ends the trials nor matches.  When either is given, a result
-    that ``cheap_proof`` leaves undecided is certified before it is
-    reported; otherwise only ``force_certify`` runs the certification.  A
-    certification that exceeds its resource budget leaves whatever
+    an exported orbit, or None; ``cheap_proof`` uses it as its premise.
+    ``declared`` is a claimed index and no premise: it neither ends the
+    trials nor matches, but a result that ``cheap_proof`` leaves undecided
+    is certified when either is given, and under ``force_certify``.
+    A bare matrix claims nothing to decide, so its undecided upper bound
+    is reported without a Bareiss run over all its indeterminates.
+    A certification that exceeds its resource budget leaves whatever
     cheaper proof held, or ``UNDECIDED``, rather than failing the
     computation.
     """
     validate_budget(max_terms, cert_timeout)
-    ceiling = None if target is None else matrix.cols - target
-    prob = probabilistic_rank(matrix, trials, seed, ceiling=ceiling)
-    result, reduced = cheap_proof(matrix, prob, target)
-    if force_certify or (result.decided_by == UNDECIDED
-                         and (target is not None or declared is not None)):
-        result = certify(matrix, result, reduced, max_terms, cert_timeout)
-    return result
+    bare = target is None and declared is None
+    return prove_indices([(matrix, target)], trials=trials, seed=seed,
+                         certify_all=force_certify, max_terms=max_terms,
+                         cert_timeout=cert_timeout,
+                         max_certifications=0 if bare else None)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ class TestShiftClasses:
     @pytest.mark.parametrize("r, calls", [((3, 3, 3), 51), ((2, 2, 2, 2), 36),
                                           ((2, 3, 4), 105)])
     def test_one_probabilistic_rank_per_class(self, monkeypatch, r, calls):
-        import thetagib.gib_checker as gc
+        import thetagib.index_engine as ie
 
         counted = []
 
@@ -296,8 +296,8 @@ class TestShiftClasses:
             counted.append(a)
             return rank(*a, **k)
 
-        rank = gc.probabilistic_rank
-        monkeypatch.setattr(gc, "probabilistic_rank", prob)
+        rank = ie.probabilistic_rank
+        monkeypatch.setattr(ie, "probabilistic_rank", prob)
         report = check_rep(ThetaRep.of(*r))
         assert len(counted) == calls
         assert len({v.computed_as for v in report.verdicts}) == calls
@@ -364,7 +364,7 @@ class TestShiftClasses:
     def test_rank_ceiling_changes_no_result(self, monkeypatch, r):
         # every point rank is at most the generic rank, which Vinberg's
         # inequality puts at most dim - min(r): stopping there loses nothing
-        import thetagib.gib_checker as gc
+        import thetagib.index_engine as ie
 
         capped = check_rep(ThetaRep.of(*r))
         ceilings = []
@@ -373,8 +373,8 @@ class TestShiftClasses:
             ceilings.append(ceiling)
             return rank(matrix, trials, seed)
 
-        rank = gc.probabilistic_rank
-        monkeypatch.setattr(gc, "probabilistic_rank", uncapped)
+        rank = ie.probabilistic_rank
+        monkeypatch.setattr(ie, "probabilistic_rank", uncapped)
         plain = check_rep(ThetaRep.of(*r))
         assert [v.index_result for v in capped.verdicts] == \
             [v.index_result for v in plain.verdicts]

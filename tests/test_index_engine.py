@@ -41,8 +41,7 @@ from thetagib.index_engine import (
     DECIDED_BY_CERTIFIED_RANK,
     DECIDED_BY_REDUCED_SHAPE,
     UNDECIDED,
-    certify,
-    cheap_proof,
+    prove_indices,
     slice_rank,
     transversal_slice,
 )
@@ -271,6 +270,72 @@ class TestTransversalSlice:
         assert seen == [m.cols]
 
 
+def _queue_problems():
+    """Four (matrix, target) pairs whose certify order differs from their order.
+
+    The skew form and its permutation are undecided with 3 x 3 reductions;
+    9^0 of (3,3,3) is a bound match of 3 x 3 that reduces to 0 x 0; and
+    5^0 3^1 1^2 is pinned by its 2 x 4 reduction.
+    """
+    skew, _, _ = parse_action_document(SKEW_DOCUMENT)
+    orbit = {text: build_action_matrix(build_centralizer(LabeledPartition.parse(text), 3))
+             for text in ("9^0", "5^0 3^1 1^2")}
+    return [(skew, None), (orbit["9^0"], 3), (orbit["5^0 3^1 1^2"], 3),
+            (skew.permuted([2, 0, 1], [1, 2, 0]), None)]
+
+
+class TestProveIndices:
+    @staticmethod
+    def record(monkeypatch):
+        import thetagib.index_engine as ie
+
+        seen = []
+
+        def recorded(matrix, *a):
+            seen.append((matrix.rows, matrix.cols, matrix.cells))
+            return certify(matrix, *a)
+
+        certify = ie.certified_rank
+        monkeypatch.setattr(ie, "certified_rank", recorded)
+        return seen
+
+    @staticmethod
+    def prove(problems, **kw):
+        budget = dict(trials=3, seed=0, certify_all=False, max_terms=DEFAULT_TERM_LIMIT,
+                      cert_timeout=None)
+        return prove_indices(problems, **{**budget, **kw})
+
+    def test_smallest_reduced_matrix_first_ties_in_given_order(self, monkeypatch):
+        # a bound match is sized by its unreduced 3 x 3 matrix, so it ties
+        # with the skew forms instead of going first with its 0 x 0 reduction
+        problems = _queue_problems()
+        seen = self.record(monkeypatch)
+        self.prove(problems, certify_all=True)
+        order = [2, 0, 1, 3]
+        assert [(rows, cols) for rows, cols, _ in seen] == [(2, 4), (3, 3), (0, 0), (3, 3)]
+        assert [cells for _, _, cells in seen] == \
+            [ground_field_reduce(problems[i][0]).cells for i in order]
+
+    def test_cap_counts_attempts_a_blown_budget_included(self, monkeypatch):
+        problems = [_queue_problems()[i] for i in (0, 3)]
+        seen = self.record(monkeypatch)
+        for cap in (0, 1, 2):
+            seen.clear()
+            results = self.prove(problems, max_terms=0, max_certifications=cap)
+            assert len(seen) == cap
+            assert [r.decided_by for r in results] == [UNDECIDED, UNDECIDED]
+        seen.clear()
+        results = self.prove(problems, max_certifications=1)
+        assert len(seen) == 1
+        assert [r.decided_by for r in results] == [DECIDED_BY_CERTIFIED_RANK, UNDECIDED]
+
+    def test_certify_all_ignores_the_cap(self, monkeypatch):
+        seen = self.record(monkeypatch)
+        results = self.prove(_queue_problems(), certify_all=True, max_certifications=0)
+        assert len(seen) == 4
+        assert all(r.decided_by == DECIDED_BY_CERTIFIED_RANK for r in results)
+
+
 class TestGenericDocuments:
     def test_trivial_one_by_one(self):
         mat, declared, _ = parse_action_document(
@@ -293,6 +358,27 @@ class TestGenericDocuments:
         # the same number as a proven bound is a match after one trial
         res = index_of_matrix(mat, target=declared)
         assert (res.index, res.decided_by) == (1, DECIDED_BY_BOUND_MATCH)
+
+    def test_bare_document_gets_only_the_cheap_pass(self, monkeypatch):
+        # with neither a bound nor a claimed rank there is nothing to decide,
+        # so the undecided upper bound is reported without a Bareiss run;
+        # force_certify runs it
+        import thetagib.index_engine as ie
+
+        doc = {k: v for k, v in SKEW_DOCUMENT.items() if k != "rank"}
+        mat, declared, bound = parse_action_document(doc)
+        assert (declared, bound) == (None, None)
+        certify = ie.certified_rank
+
+        def refused(*a):
+            raise AssertionError("a bare document was certified")
+
+        monkeypatch.setattr(ie, "certified_rank", refused)
+        res = index_of_matrix(mat)
+        assert (res.index, res.decided_by, res.cert_rank) == (1, UNDECIDED, None)
+        monkeypatch.setattr(ie, "certified_rank", certify)
+        res = index_of_matrix(mat, force_certify=True)
+        assert (res.index, res.decided_by, res.cert_rank) == (1, DECIDED_BY_CERTIFIED_RANK, 2)
 
     def test_full_rank_torus_weights(self):
         doc = {"dim_q": 3, "dim_v": 3,
@@ -404,6 +490,8 @@ class TestGenericDocuments:
         # an exported document's bound is min(r), so capping the trials at
         # dim - bound changes no result; a bound match takes one trial, or
         # none when there is no rank to find
+        import thetagib.index_engine as ie
+
         calls = []
 
         def counted(*a, **k):
@@ -414,21 +502,31 @@ class TestGenericDocuments:
         monkeypatch.setattr(el, "rank_at_point_mod", counted)
         rep = ThetaRep.of(*r)
         rng = random.Random(sum(r))
+        sent = []
         for part in all_nilpotent_orbits(rep):
             doc = export_action(build_centralizer(part, rep.m), declared_rank=rep.rank())
             assert doc["index_lower_bound"] == rep.rank()
-            for sent in (doc, scale_rows(doc, rng)):
-                mat, declared, bound = parse_action_document(sent)
-                calls.clear()
-                capped = index_of_matrix(mat, target=bound, declared=declared)
-                trials = len(calls)
-                # the uncapped run: all three trials, then the same ladder
-                result, reduced = cheap_proof(mat, probabilistic_rank(mat), bound)
-                if result.decided_by == UNDECIDED:
-                    result = certify(mat, result, reduced, DEFAULT_TERM_LIMIT, None)
-                assert capped == result, part
-                if capped.decided_by == DECIDED_BY_BOUND_MATCH:
-                    assert trials == min(1, mat.rows, mat.cols - bound), part
+            sent += [(part, doc), (part, scale_rows(doc, rng))]
+        capped = []
+        for part, doc in sent:
+            mat, declared, bound = parse_action_document(doc)
+            calls.clear()
+            capped.append(index_of_matrix(mat, target=bound, declared=declared))
+            if capped[-1].decided_by == DECIDED_BY_BOUND_MATCH:
+                assert len(calls) == min(1, mat.rows, mat.cols - bound), part
+        # the uncapped run: all three trials, then the same ladder
+        ceilings = []
+
+        def uncapped(matrix, trials, seed, ceiling):
+            ceilings.append(ceiling)
+            return rank(matrix, trials, seed)
+
+        rank = ie.probabilistic_rank
+        monkeypatch.setattr(ie, "probabilistic_rank", uncapped)
+        for (part, doc), result in zip(sent, capped, strict=True):
+            mat, declared, bound = parse_action_document(doc)
+            assert index_of_matrix(mat, target=bound, declared=declared) == result, part
+        assert len(ceilings) == len(sent) and None not in ceilings
 
     def test_cancelling_brackets_match_fraction_oracle(self):
         # cells (0, 0), (1, 0) and (2, 1) cancel, row 1 keeps 5*a2 and is
