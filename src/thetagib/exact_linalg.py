@@ -130,30 +130,28 @@ def _rank_limit(M: LinearFormMatrix, ceiling: int | None) -> int:
     return min(M.rows, M.cols, ceiling)
 
 
-def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
-                      ceiling: int | None = None) -> int:
-    """Rank over F_p (p = ``EVAL_PRIME``) of M at an integer point reduced mod p.
+def pivot_columns_mod(M: LinearFormMatrix, point: Sequence[int],
+                      ceiling: int | None = None) -> list[int]:
+    """Pivot columns of M at an integer point mod ``EVAL_PRIME``, the one F_p elimination.
 
-    An integer matrix reduced mod p can only lose rank, so this is a lower
-    bound for the generic rank of M.  ``ceiling``, if given, must be a
-    proven upper bound for the generic rank: the elimination stops once its
-    rank reaches it, which then is the rank at the point.  Only a caller
-    that has such a proof may pass one (the orbit driver has dim - min(r));
-    a wrong ceiling caps the result silently.
+    ``ceiling``, if given, must be a proven upper bound for the generic
+    rank: the elimination stops once its rank reaches it, which then is the
+    rank at the point.  Only a caller that has such a proof may pass one
+    (the orbit driver has dim - min(r)); a wrong ceiling caps it silently.
 
     The work follows the stored cells: each row is evaluated as a dict
     ``{col: value mod p}`` of its nonzero values and reduced against the
     pivot rows found so far, always at its leftmost column, until that
     column has no pivot row (the row becomes one) or the row is zero.  A
-    pivot row keeps its other values times -1/pivot, so a reduction adds
-    a multiple of them at those columns only.
+    pivot row keeps its other values times -1/pivot, so a reduction adds a
+    multiple of them at those columns only.  So the pivots are the columns
+    that earlier columns do not span.
     """
     limit = _rank_limit(M, ceiling)
     if limit == 0:
-        return 0
+        return []
     p = EVAL_PRIME
     pivots: dict[int, list[tuple[int, int]]] = {}  # leftmost column -> scaled rest
-    rank = 0
     for row in M.cells:
         vals = {}
         for j, e in row.items():
@@ -170,9 +168,8 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
             if prow is None:
                 neg_inv = p - pow(f, -1, p)
                 pivots[col] = [(c, v * neg_inv % p) for c, v in vals.items()]
-                rank += 1
-                if rank == limit:
-                    return rank
+                if len(pivots) == limit:
+                    return list(pivots)
                 break
             for c, scaled in prow:
                 v = (vals.get(c, 0) + f * scaled) % p
@@ -180,7 +177,20 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
                     vals[c] = v
                 else:
                     del vals[c]
-    return rank
+    return list(pivots)
+
+
+def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
+                      ceiling: int | None = None) -> int:
+    """Rank over F_p of M at an integer point: the number of ``pivot_columns_mod``.
+
+    A lower bound for the generic rank, as reducing mod p only loses rank.
+    ``index_engine.transversal_slice`` takes as J the complement of those
+    pivots with the columns right to left, then checks with this rank that
+    they have full rank: that check, not how J was found, proves that e_J
+    completes the rows.
+    """
+    return len(pivot_columns_mod(M, point, ceiling))
 
 
 def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
@@ -191,7 +201,7 @@ def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
     trial point hits the zero set of a top-size minor.  Deterministic for a
     fixed seed.  The trials stop early once one reaches min(rows, cols) or
     ``ceiling``, a proven upper bound for the generic rank that only a
-    caller with a proof may pass (see ``rank_at_point_mod``).  No point
+    caller with a proof may pass (see ``pivot_columns_mod``).  No point
     rank exceeds the generic rank, so a true ceiling changes no result:
     it only skips trials and eliminations that could not raise it.
     """

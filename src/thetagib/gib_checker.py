@@ -16,10 +16,7 @@ for that index.  The per-orbit procedure:
      of dim V.
 
 ``index-file`` runs the same ladder through ``index_engine.index_of_matrix``,
-with a document's ``index_lower_bound`` (min(r) for one that
-``export_action`` wrote) as the target; a bare declared ``rank`` is no
-bound.  It certifies over all indeterminates, since a document need not
-come from a group action.
+which certifies over all indeterminates (see ``index_engine.certify``).
 
 A whole grading has the property iff every orbit does.  ``prove_indices``
 runs the cheap proofs on every class before it certifies any, and without
@@ -122,7 +119,6 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
     as ``certify_all`` does in ``check_rep``.  ``max_terms`` and
     ``cert_timeout`` bound the certification as in ``check_rep``.
     """
-    validate_budget(max_terms, cert_timeout)
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
     return _verdicts(rep, [(orbit, [orbit])], trials=trials, seed=seed,
@@ -174,9 +170,7 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     class is resolved, which keeps the report seed-independent and the
     bad-orbit list complete.
     """
-    validate_budget(max_terms, cert_timeout)
-    if max_certifications is not None and max_certifications < 0:
-        raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
+    validate_budget(max_terms, cert_timeout, max_certifications)  # before any orbit is built
     verdicts = _verdicts(rep, dihedral_classes(rep), trials=trials, seed=seed,
                          certify_all=certify_all, max_terms=max_terms,
                          max_certifications=max_certifications, cert_timeout=cert_timeout)

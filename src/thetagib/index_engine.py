@@ -28,9 +28,9 @@ from .exact_linalg import (
     DEFAULT_TRIALS,
     LinearFormMatrix,
     ResourceLimitExceeded,
-    _independent_indices,
     certified_rank,
     ground_field_reduce,
+    pivot_columns_mod,
     probabilistic_rank,
     rank_at_point_mod,
 )
@@ -45,39 +45,39 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class IndexResult:
-    """Outcome of one index computation.
+    """Outcome of one index computation; ``decided_by`` names its proof or is ``UNDECIDED``.
 
-    ``index`` is dim(V) minus the best rank available: the exact rank when
-    present, else the probabilistic lower bound (making the index an upper
-    bound).  ``certified`` is true exactly when ``cert_rank`` is set, which
-    a reduced-shape pin does as well as a Bareiss run.  ``decided_by`` names
-    the proof behind the result, or is ``UNDECIDED``.
+    ``cert_rank`` is the exact rank (a reduced-shape pin sets it too) or None.
     """
 
     dim_module: int
     prob_rank: int
     cert_rank: int | None
-    index: int
-    certified: bool
     decided_by: str
+
+    @property
+    def index(self) -> int:
+        """dim(V) minus ``cert_rank``, else minus ``prob_rank`` (then an upper bound)."""
+        return self.dim_module - (self.prob_rank if self.cert_rank is None else self.cert_rank)
+
+    @property
+    def certified(self) -> bool:
+        return self.cert_rank is not None
 
 
 #: A certifying rank routine, called as rank(matrix, reduced, max_terms, timeout).
 RankRoutine = Callable[[LinearFormMatrix, LinearFormMatrix, int, float | None], int]
 
 
-def validate_budget(max_terms: int, cert_timeout: float | None) -> None:
+def validate_budget(max_terms: int, cert_timeout: float | None,
+                    max_certifications: int | None = None) -> None:
     """Reject a certification budget that no run could keep to."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     if cert_timeout is not None and not cert_timeout >= 0:
         raise ValueError(f"cert_timeout must be >= 0, got {cert_timeout}")
-
-
-def _index_result(dim: int, prob: int, cert: int | None, decided_by: str) -> IndexResult:
-    return IndexResult(dim_module=dim, prob_rank=prob, cert_rank=cert,
-                       index=dim - (prob if cert is None else cert),
-                       certified=cert is not None, decided_by=decided_by)
+    if max_certifications is not None and max_certifications < 0:
+        raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
 
 
 def cheap_proof(matrix: LinearFormMatrix, target: int | None,
@@ -106,11 +106,11 @@ def cheap_proof(matrix: LinearFormMatrix, target: int | None,
     ceiling = None if target is None else dim - target
     prob = probabilistic_rank(matrix, trials, seed, ceiling=ceiling)
     if target is not None and dim - prob == target:
-        return _index_result(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
+        return IndexResult(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
     reduced = ground_field_reduce(matrix)
     if prob in (reduced.rows, reduced.cols):
-        return _index_result(dim, prob, prob, DECIDED_BY_REDUCED_SHAPE), reduced
-    return _index_result(dim, prob, None, UNDECIDED), reduced
+        return IndexResult(dim, prob, prob, DECIDED_BY_REDUCED_SHAPE), reduced
+    return IndexResult(dim, prob, None, UNDECIDED), reduced
 
 
 def certify(matrix: LinearFormMatrix, result: IndexResult,
@@ -136,9 +136,11 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
     whose differential at (1, xi0) is onto, so the map is dominant.  Its
     image meets the dense open set where the rank is generic, and a
     Q-orbit through that set meets the slice, so the generic rank on the
-    slice equals the generic rank on V*.  ``ground_field_reduce`` keeps
-    only Q-linear relations among rows and columns, which survive the
-    substitution, so the slice is applied to ``reduced``.
+    slice equals the generic rank on V*.  J is the complement of the F_p
+    pivots at xi0 taken right to left, and a separate F_p rank proves that
+    e_J completes (see ``transversal_slice``).  ``ground_field_reduce``
+    keeps only Q-linear relations among rows and columns, which survive
+    the substitution, so the slice is applied to ``reduced``.
     ``index_of_matrix`` (and so ``index-file``) keeps the plain routine: a
     document need not come from a Lie algebra action, and without one the
     rank need not be constant along any orbits.
@@ -155,8 +157,7 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
     if cert < result.prob_rank:
         raise RuntimeError(f"certified rank {cert} is below the probabilistic rank "
                            f"{result.prob_rank}, a lower bound for it")
-    return _index_result(result.dim_module, result.prob_rank, cert,
-                         DECIDED_BY_CERTIFIED_RANK)
+    return IndexResult(result.dim_module, result.prob_rank, cert, DECIDED_BY_CERTIFIED_RANK)
 
 
 def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
@@ -174,6 +175,7 @@ def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
     attempted, a run that blows its budget included; a result past the
     cap keeps its cheaper proof or stays ``UNDECIDED``.
     """
+    validate_budget(max_terms, cert_timeout, max_certifications)
     proofs = [cheap_proof(matrix, target, trials, seed) for matrix, target in problems]
     results = [result for result, _ in proofs]
 
@@ -204,25 +206,22 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
 
     ``matrix`` is an action matrix: its columns are the s coordinates of
     V*, numbered like its indeterminates, so its rows at ``point`` span
-    q.point.  J is picked by one ``_independent_indices`` call so that the
-    unit vectors e_J complete them to Q^s.  The indeterminate a_k becomes
-    b_t for the t-th index k of J, and point[k] * b_0 for k outside J;
-    these are coordinates of span(point, e_J), sparser than
-    b_0 * point + sum_t b_t * e_(j_t).  Raises ``ValueError`` unless the
-    rows at ``point`` and e_J have rank s, which is checked apart from how
-    J was picked: the columns outside J must have full rank at ``point``.
+    q.point.  J is the complement of the ``pivot_columns_mod`` at ``point``
+    with the columns right to left, the k whose e_k the rows and the e_J
+    before it do not span: e_J greedily completes the rows to Q^s.  a_k
+    becomes b_t for the t-th index k of J, and point[k] * b_0 for k outside
+    J: coordinates of span(point, e_J), sparser than b_0 * point plus the
+    b_t * e_(j_t).  Raises ``ValueError`` unless the pivots have full rank
+    at ``point`` by ``rank_at_point_mod``: only a defect fails that check,
+    but it, not how J was found, proves that e_J completes the rows.
     """
     s = matrix.cols
     if matrix.num_indeterminates != s:
         raise ValueError("an action matrix has one indeterminate per column")
-    at_point = [{j: v for j, e in row.items()
-                 if (v := sum(c * point[k] for k, c in e.items()))}
-                for row in matrix.cells]
-    n = len(at_point)
-    chosen = _independent_indices(at_point + [{k: 1} for k in range(s)])
-    complement = [i - n for i in chosen if i >= n]  # J
-    var = {k: t for t, k in enumerate(complement, 1)}  # a_k -> b_t for k in J
-    rest = [j for j in range(s) if j not in var]
+    n = matrix.rows
+    pivots = pivot_columns_mod(matrix.permuted(range(n), range(s - 1, -1, -1)), point)
+    rest = sorted(s - 1 - t for t in pivots)
+    var = {k: t for t, k in enumerate(sorted(set(range(s)).difference(rest)), 1)}  # J
     # a rank over F_p is at most the rank over Q, which is at most len(rest)
     if rank_at_point_mod(matrix.permuted(range(n), rest), point) != len(rest):
         raise ValueError("the unit vectors do not complete the orbit tangent to Q^s")
@@ -298,11 +297,7 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
     is certified when either is given, and under ``force_certify``.
     A bare matrix claims nothing to decide, so its undecided upper bound
     is reported without a Bareiss run over all its indeterminates.
-    A certification that exceeds its resource budget leaves whatever
-    cheaper proof held, or ``UNDECIDED``, rather than failing the
-    computation.
     """
-    validate_budget(max_terms, cert_timeout)
     bare = target is None and declared is None
     return prove_indices([(matrix, target)], trials=trials, seed=seed,
                          certify_all=force_certify, max_terms=max_terms,

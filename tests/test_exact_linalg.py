@@ -27,7 +27,14 @@ from thetagib import (
     ground_field_reduce,
     probabilistic_rank,
 )
-from thetagib.exact_linalg import EVAL_PRIME, _cross, _div_heap, _packing, rank_at_point_mod
+from thetagib.exact_linalg import (
+    EVAL_PRIME,
+    _cross,
+    _div_heap,
+    _packing,
+    pivot_columns_mod,
+    rank_at_point_mod,
+)
 
 
 def lf(**kw):
@@ -120,6 +127,25 @@ class TestProbabilisticRank:
             m = random_matrix(rng)
             point = [rng.randint(0, 10**6) for _ in range(m.num_indeterminates)]
             assert rank_at_point_mod(m, point) == scalar_rank(evaluate(m, point))
+
+    def test_pivot_columns_are_a_full_rank_set_of_columns(self):
+        # the pivots are the columns that the columns before them do not
+        # span, which the transversal slice relies on when it reverses them
+        rng = random.Random(19)
+        for _ in range(25):
+            m = random_matrix(rng)
+            point = [rng.randint(0, 10**6) for _ in range(m.num_indeterminates)]
+            values = evaluate(m, point)
+            rank = rank_at_point_mod(m, point)
+            for ceiling in (None, *range(rank + 1)):
+                pivots = pivot_columns_mod(m, point, ceiling)
+                assert len(set(pivots)) == len(pivots)
+                assert len(pivots) == rank_at_point_mod(m, point, ceiling)
+                assert scalar_rank([[row[j] for j in pivots] for row in values]) == len(pivots)
+            pivots = pivot_columns_mod(m, point)
+            for j in range(m.cols):
+                spans = [scalar_rank([row[:k] for row in values]) for k in (j, j + 1)]
+                assert (j in pivots) == (spans[1] > spans[0])
 
     def test_point_rank_matches_sympy_over_gf_p(self):
         # reference: sympy's elimination over GF(EVAL_PRIME), one indeterminate

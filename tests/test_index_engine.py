@@ -40,6 +40,7 @@ from thetagib.index_engine import (
     DECIDED_BY_BOUND_MATCH,
     DECIDED_BY_CERTIFIED_RANK,
     DECIDED_BY_REDUCED_SHAPE,
+    SLICE_POINT_RANGE,
     UNDECIDED,
     prove_indices,
     slice_rank,
@@ -175,6 +176,24 @@ def _orbit_matrices(r, orbit):
     return m, ground_field_reduce(m)
 
 
+def _slice_cases(r, rng):
+    """(label, matrix, reduced, base point) for every orbit of r at a point
+    drawn from ``rng``, or for "certify" the ``CERTIFY_ORBITS`` at the first
+    three base points that ``slice_rank`` draws."""
+    if r == "certify":
+        for grading, orbit in CERTIFY_ORBITS:
+            m, reduced = _orbit_matrices(grading, orbit)
+            for attempt in range(3):
+                draw = random.Random(attempt)
+                yield ((orbit, attempt), m, reduced,
+                       [draw.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE)
+                        for _ in range(m.cols)])
+        return
+    for part in all_nilpotent_orbits(ThetaRep.of(*r)):
+        m, reduced = _orbit_matrices(r, part.to_text())
+        yield part, m, reduced, [rng.randint(-2, 2) for _ in range(m.cols)]
+
+
 class TestTransversalSlice:
     @pytest.mark.parametrize("r, orbit", CERTIFY_ORBITS)
     def test_slice_and_plain_ranks_agree(self, r, orbit):
@@ -188,36 +207,38 @@ class TestTransversalSlice:
         assert m.cols == 25 and sliced.num_indeterminates == 25 - 20 + 1
         assert (sliced.rows, sliced.cols) == (reduced.rows, reduced.cols)
 
-    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), "certify"])
     def test_slice_is_the_reduced_matrix_on_the_slice(self, r):
         # J completes the rows at the point to Q^s, found greedily by the
         # rational rank oracle; b = (b_0, b_J) stands for the point a with
         # a_k = b_t for the t-th k of J and a_k = point[k] * b_0 otherwise
-        rep = ThetaRep.of(*r)
-        rng = random.Random(sum(r))
-        for part in all_nilpotent_orbits(rep):
-            m, reduced = _orbit_matrices(r, part.to_text())
+        rng = random.Random(sum(r) if r != "certify" else 0)
+        for label, m, reduced, point in _slice_cases(r, rng):
             s = m.cols
-            point = [rng.randint(-2, 2) for _ in range(s)]
             complement = _completing_units(evaluate(m, point), s)
             sliced = transversal_slice(m, reduced, point)
-            assert sliced.num_indeterminates == len(complement) + 1, part
+            assert sliced.num_indeterminates == len(complement) + 1, label
             assert all(c for row in sliced.cells for e in row.values() for c in e.values())
             at_point = evaluate(reduced, point)
-            assert evaluate(sliced, [1] + [point[k] for k in complement]) == at_point, part
+            assert evaluate(sliced, [1] + [point[k] for k in complement]) == at_point, label
             b = [rng.randint(-50, 50) for _ in range(len(complement) + 1)]
             a = [point[k] * b[0] for k in range(s)]
             for t, k in enumerate(complement, 1):
                 a[k] = b[t]
-            assert evaluate(sliced, b) == evaluate(reduced, a), part
+            assert evaluate(sliced, b) == evaluate(reduced, a), label
 
     def test_incomplete_complement_is_refused(self, monkeypatch):
-        # dropping one unit vector from the complement leaves the span short
-        # of Q^s; the slice must notice it by its own check and refuse
+        # a non-pivot column reported as a pivot drops its unit vector from
+        # the complement and leaves the span short of Q^s; the slice must
+        # notice it by its own check and refuse
         import thetagib.index_engine as ie
 
-        picked = ie._independent_indices
-        monkeypatch.setattr(ie, "_independent_indices", lambda vs: picked(vs)[:-1])
+        def one_too_many(matrix, point, ceiling=None):
+            pivots = picked(matrix, point, ceiling)
+            return pivots + [min(set(range(matrix.cols)).difference(pivots))]
+
+        picked = ie.pivot_columns_mod
+        monkeypatch.setattr(ie, "pivot_columns_mod", one_too_many)
         rep = ThetaRep.of(3, 3, 3)
         orbit = LabeledPartition.parse("2^0 2^0 2^0 1^2 1^2 1^2")
         m, reduced = _orbit_matrices((3, 3, 3), orbit.to_text())
@@ -328,6 +349,20 @@ class TestProveIndices:
         results = self.prove(problems, max_certifications=1)
         assert len(seen) == 1
         assert [r.decided_by for r in results] == [DECIDED_BY_CERTIFIED_RANK, UNDECIDED]
+
+    def test_negative_cap_is_rejected_before_the_cheap_pass(self, monkeypatch):
+        # read as a slice, -1 would certify two of three bare skew forms
+        # and leave the third undecided
+        import thetagib.index_engine as ie
+
+        def unreachable(*a, **k):
+            raise AssertionError("the cheap pass ran")
+
+        monkeypatch.setattr(ie, "probabilistic_rank", unreachable)
+        skew = _queue_problems()[0]
+        for cap in (-1, -2):
+            with pytest.raises(ValueError, match=f"max_certifications must be >= 0, got {cap}"):
+                self.prove([skew] * 3, max_certifications=cap)
 
     def test_certify_all_ignores_the_cap(self, monkeypatch):
         seen = self.record(monkeypatch)
