@@ -32,6 +32,13 @@ all guard bits, a monomial d divides e exactly when
 its guard bit away, and no borrow crosses into the next field.  Exact
 division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
 
+Each Bareiss step pivots on a cell with the fewest terms, ties broken by
+the least Markowitz count (r_i - 1)(c_j - 1) of nonzero cells in its row
+and column of the remaining block (Markowitz, Management Sci. 1957), then
+by row-major order.  The update a*piv - left*b of a zero cell a is zero
+when left or b is, so such a cell is skipped: it costs no product, no
+division and no clock read.  Any pivot order gives the exact rank.
+
 Matrices share their rows and forms, and no routine modifies a row, a form
 or a matrix; every routine here is pure, so independent rank computations can
 run in parallel without shared state.
@@ -379,23 +386,41 @@ def _div_heap(num: dict, divisor: dict, guard: int,
 
 def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
                  deadline: float | None) -> int:
-    """Fraction-free elimination with sparsest-pivot selection.
+    """Fraction-free elimination with sparsest, least-fill pivot selection.
 
-    ``deadline`` is a ``time.monotonic`` value checked before each cell
-    is computed and within its product and division, or None for no limit.
+    The pivot is a nonzero cell of the remaining block with the fewest
+    terms; ties go to the least Markowitz count (r_i - 1)(c_j - 1), where
+    r_i and c_j count the nonzero cells in its row and column of the block,
+    and then to the first in row-major order.  Any pivot order gives the
+    exact rank.  A zero cell whose row has a zero in the pivot column, or
+    whose column has a zero in the pivot row, stays zero and is skipped
+    without a product, a division or a clock read.  ``deadline`` is a
+    ``time.monotonic`` value checked before each other cell is computed and
+    within its product and division, or None for no limit.
     """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
     prev: dict | None = None  # divisor for the current step; None = 1
     r = 0
     while r < nrows and r < ncols:
-        best = None
+        row_count = [0] * nrows
+        col_count = [0] * ncols
         for i in range(r, nrows):
             row = grid[i]
             for j in range(r, ncols):
+                if row[j]:
+                    row_count[i] += 1
+                    col_count[j] += 1
+        best = None
+        for i in range(r, nrows):
+            row = grid[i]
+            fill = row_count[i] - 1
+            for j in range(r, ncols):
                 e = row[j]
-                if e and (best is None or len(e) < best[0]):
-                    best = (len(e), i, j)
+                if e:
+                    key = (len(e), fill * (col_count[j] - 1))
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
         if best is None:
             break
         _, pi, pj = best
@@ -410,9 +435,13 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
             row = grid[i]
             left = row[r]
             for j in range(r + 1, ncols):
+                a = row[j]
+                b = pivot_row[j]
+                if not a and (not left or not b):
+                    continue
                 if deadline is not None and monotonic() >= deadline:
                     raise ResourceLimitExceeded("certification passed its time limit")
-                cell = _cross(row[j], piv, left, pivot_row[j], max_terms, deadline)
+                cell = _cross(a, piv, left, b, max_terms, deadline)
                 if prev is not None:
                     cell = _div_heap(cell, prev, guard, deadline)
                 if len(cell) > max_terms:

@@ -320,6 +320,70 @@ class TestCertifiedRank:
         assert cases[-1].rows == 7 and certified_rank(cases[-1]) <= 6
         assert max(divisor_terms) > 1
 
+    def test_zero_cells_that_stay_zero_are_skipped(self, monkeypatch):
+        # a1*I_6: below each pivot only the diagonal cells are nonzero, and
+        # every off-diagonal cell is zero in a row whose pivot-column cell
+        # is zero, so 5 + 4 + 3 + 2 + 1 = 15 products instead of 55
+        import thetagib.exact_linalg as el
+
+        calls = []
+
+        def counting_cross(*args):
+            calls.append(args)
+            return _cross(*args)
+
+        monkeypatch.setattr(el, "_cross", counting_cross)
+        n = 6
+        grid = [[lf(a1=1) if i == j else {} for j in range(n)] for i in range(n)]
+        assert certified_rank(matrix_of(grid, 1)) == n
+        assert len(calls) == 15
+
+    def test_pivot_ties_go_to_the_least_fill(self, monkeypatch):
+        # two one-term cells: a1 at (0, 0), first in row-major order, in
+        # the full 3x3 block of rows and columns 0-2, and 7*a2 at (3, 3),
+        # alone in its row and column; the isolated one pivots first
+        import thetagib.exact_linalg as el
+
+        pivots = []
+
+        def recording_cross(a, piv, left, b, *rest):
+            pivots.append(piv)
+            return _cross(a, piv, left, b, *rest)
+
+        monkeypatch.setattr(el, "_cross", recording_cross)
+        block = [[lf(a1=1), lf(a1=1, a2=2), lf(a1=2, a2=1)],
+                 [lf(a1=1, a2=3), lf(a1=3, a2=1), lf(a1=1, a2=1)],
+                 [lf(a1=2, a2=3), lf(a1=1, a2=5), lf(a1=4, a2=1)]]
+        grid = [row + [{}] for row in block] + [[{}, {}, {}, lf(a2=7)]]
+        assert certified_rank(matrix_of(grid, 2)) == 4
+        assert list(pivots[0].values()) == [7]
+
+    def test_against_sympy_on_sparse_one_term_matrices(self):
+        # 5x5 to 8x8 of one-term forms with 30-50% zero cells, so that term
+        # counts tie at every step and many cells are skipped; the odd
+        # skew-symmetric ones among them have a rank drop
+        rng = random.Random(2024)
+        drops = 0
+        for t in range(16):
+            if t % 2:
+                rows = cols = rng.choice((5, 7))
+            else:
+                rows, cols = rng.randint(5, 8), rng.randint(5, 8)
+            s = rng.randint(1, 3)
+            zero = rng.uniform(0.3, 0.5)
+            grid = [[{} if rng.random() < zero
+                     else {rng.randrange(s): rng.choice((-2, -1, 1, 2))}
+                     for _ in range(cols)] for _ in range(rows)]
+            if t % 2:
+                grid = [[{} if i == j else grid[i][j] if i < j
+                         else {k: -c for k, c in grid[j][i].items()}
+                         for j in range(cols)] for i in range(rows)]
+            m = matrix_of(grid, s)
+            rank = certified_rank(m)
+            assert rank == sympy_field_rank(m)
+            drops += rank < min(rows, cols)
+        assert drops
+
     def test_full_rank_at_the_field_width_bound(self):
         # a1*I_12 with a1 added off the diagonal of the first row: with one
         # indeterminate the exponents climb to 22, near the bound

@@ -49,6 +49,17 @@ class TestCheckOrbit:
         assert v.index_result.index == 5
         assert v.decided_by == DECIDED_BY_CERTIFIED_RANK
 
+    def test_42x47_class_of_555_is_certified(self):
+        # the largest class of (5,5,5), certified rank 41 of 47 on a
+        # transversal slice; its elimination needs the least-fill pivots
+        # and the zero-cell skip to finish within the budget
+        rep = ThetaRep.of(5, 5, 5)
+        v = check_orbit(rep, LabeledPartition.parse(
+            "2^0 2^0 2^1 2^1 1^0 1^0 1^0 1^1 1^2 1^2 1^2"), cert_timeout=60)
+        assert v.decided_by == DECIDED_BY_CERTIFIED_RANK
+        assert v.index_result.index == 6
+        assert v.gib is False
+
     def test_force_certify_decides_exactly(self):
         rep = ThetaRep.of(3, 3, 2)
         v = check_orbit(rep, LabeledPartition(((5, 0), (3, 1))), force_certify=True)
