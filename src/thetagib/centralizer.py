@@ -78,12 +78,12 @@ class GradedCentralizer:
         dj = self.lengths[j - 1] - 1
         return max(dj - di, 0) <= s <= dj
 
-    def action_structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
+    def action_structure_constants(self) -> list[dict[int, dict[int, int]]]:
         """Brackets of the degree-0 basis against the degree-(m-1) basis.
 
-        Returns N with N[(i, j)][k] = coefficient of v_k in [x_i, v_j],
-        where x runs over ``by_degree[0]`` and v over ``by_degree[m-1]``;
-        a pair whose bracket is zero has no key.  By the commutator rule,
+        Returns the rows of ``LinearFormMatrix``, one per x_i in ``by_degree[0]``:
+        N[i][j][k] is the coefficient of v_k in [x_i, v_j], v in ``by_degree[m-1]``,
+        and a zero bracket or coefficient has no key.  By the commutator rule,
         [x, v] = delta(v.j, x.i) xi_(v.i)^(x.j, x.s+v.s)
         - delta(x.j, v.i) xi_(x.i)^(v.j, x.s+v.s), so only the v with
         v.j == x.i or v.i == x.j are visited.  Grading forces every bracket
@@ -98,7 +98,7 @@ class GradedCentralizer:
         for k, (vi, vj, vs) in enumerate(module):
             by_j.setdefault(vj, []).append((k, vi, vs))
             by_i.setdefault(vi, []).append((k, vj, vs))
-        tensor: dict[tuple[int, int], dict[int, int]] = {}
+        rows: list[dict[int, dict[int, int]]] = []
         for row, (xi, xj, xs) in enumerate(acting):
             # (column, z.i, z.j, z.s, sign) of each term, the + term of the rule first
             terms = [(j, vi, xj, xs + vs, 1) for j, vi, vs in by_j.get(xi, ())]
@@ -120,10 +120,8 @@ class GradedCentralizer:
                     entry[k] = c
                 else:
                     del entry[k]
-            for j, entry in cells.items():
-                if entry:
-                    tensor[(row, j)] = entry
-        return tensor
+            rows.append({j: entry for j, entry in cells.items() if entry})
+        return rows
 
 
 def build_centralizer(partition: LabeledPartition, m: int) -> GradedCentralizer:

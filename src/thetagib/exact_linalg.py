@@ -3,11 +3,11 @@
 The central object is a matrix of homogeneous linear forms in a_1, ..., a_s,
 stored as sparse integer rows: row i maps the column of each nonzero cell
 to its form, a dict from an indeterminate's 0-based index to its nonzero
-int coefficient.  Every routine below pays for the stored cells; Bareiss
-alone builds a dense working grid.  The *generic rank* (the rank over the
-function field) is what index computations consume.  Row scaling keeps it,
-so a builder with rational data clears each row's denominators.  Three
-routines bracket it:
+int coefficient.  Every routine below pays for the stored cells, but an F_p
+trial point has s coordinates and Bareiss builds a dense working grid.  The
+*generic rank* (the rank over the function field) is what index
+computations consume.  Row scaling keeps it, so a builder with rational
+data clears each row's denominators.  Three routines bracket it:
 
 * ``probabilistic_rank``: evaluate at random points of a large prime field.
   The result is a lower bound for the generic rank and equals it with
@@ -20,11 +20,12 @@ routines bracket it:
   elimination over Z[a_1..a_s], run after ``ground_field_reduce``.
 
 The elimination keeps each polynomial as a dict from a packed exponent to
-an int coefficient.  An exponent vector is one int made of s fields of
-``width`` bits, variable a_1 in the most significant field, so lex order is
-int order and a monomial product is one int addition.  At Bareiss step r
-every cell is homogeneous of degree r + 1, so no numerator formed before a
-division has degree above 2*min(rows, cols); ``certified_rank`` fixes
+an int coefficient.  An exponent vector is one int with a field of ``width``
+bits for each indeterminate that occurs in the matrix, the least-numbered in
+the most significant field, so lex order is int order and a monomial product
+is one int addition.  At Bareiss step r every cell is homogeneous of degree
+r + 1, so no numerator formed before a division has degree above
+2*min(rows, cols); ``certified_rank`` fixes
 ``width = (2*min(rows, cols)).bit_length() + 1`` per call, and the top bit
 of each field is a guard bit that stays zero.  With ``GUARD`` the mask of
 all guard bits, a monomial d divides e exactly when
@@ -472,10 +473,11 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     reduced = ground_field_reduce(M)
     if reduced.rows == 0 or reduced.cols == 0:
         return 0
-    s = reduced.num_indeterminates
+    used = sorted({k for row in reduced.cells for form in row.values() for k in form})
     # at step r every cell is homogeneous of degree r + 1, so no numerator
     # formed before a division has degree above 2 * min(rows, cols)
-    width, guard = _packing(s, 2 * min(reduced.rows, reduced.cols))
-    grid = [[{1 << ((s - 1 - k) * width): c for k, c in row.get(j, {}).items()}
+    width, guard = _packing(len(used), 2 * min(reduced.rows, reduced.cols))
+    bit = {k: 1 << ((len(used) - 1 - t) * width) for t, k in enumerate(used)}
+    grid = [[{bit[k]: c for k, c in row.get(j, {}).items()}
              for j in range(reduced.cols)] for row in reduced.cells]
     return _bareiss_rank(grid, guard, max_terms, deadline)

@@ -170,7 +170,9 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     class is resolved, which keeps the report seed-independent and the
     bad-orbit list complete.
     """
-    validate_budget(max_terms, cert_timeout, max_certifications)  # before any orbit is built
+    if trials < 1:  # checked with the budget, before any orbit is built
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    validate_budget(max_terms, cert_timeout, max_certifications)
     verdicts = _verdicts(rep, dihedral_classes(rep), trials=trials, seed=seed,
                          certify_all=certify_all, max_terms=max_terms,
                          max_certifications=max_certifications, cert_timeout=cert_timeout)

@@ -271,15 +271,12 @@ def slice_rank(matrix: LinearFormMatrix, reduced: LinearFormMatrix, max_terms: i
 def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
     """Action matrix of the degree-0 part on the degree-(m-1) part.
 
-    Rows follow ``by_degree[0]``, columns ``by_degree[m-1]``; the column
-    order also fixes the indeterminate numbering, a_k being dual to the k-th
-    module basis element.
+    Its rows are ``cent.action_structure_constants()``, following ``by_degree[0]``;
+    columns follow ``by_degree[m-1]``, whose order also fixes the indeterminate
+    numbering, a_k being dual to the k-th module basis element.
     """
-    cells: list[dict[int, dict[int, int]]] = [{} for _ in cent.by_degree[0]]
-    for (i, j), entry in cent.action_structure_constants().items():
-        cells[i][j] = entry
     ncols = len(cent.by_degree[cent.m - 1])
-    return LinearFormMatrix(cells, ncols, ncols)
+    return LinearFormMatrix(cent.action_structure_constants(), ncols, ncols)
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
@@ -401,21 +398,19 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
 def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> dict:
     """Serialize the degree-0 action of ``cent`` to the document schema.
 
-    ``index_lower_bound`` is min(r) for the grading r of ``cent``'s
-    orbit, which Vinberg's inequality makes a lower bound for the index;
-    it is computed here from ``cent`` itself, so the document's bound is
-    proven whatever the caller passes.  ``declared_rank``, if given, is
+    The brackets are the cells of ``build_action_matrix(cent)`` in order of
+    i, then j, then k.  ``index_lower_bound`` is min(r) for the grading r of
+    ``cent``'s orbit, which Vinberg's inequality makes a lower bound for the
+    index; it is computed here from ``cent`` itself, so the document's bound
+    is proven whatever the caller passes.  ``declared_rank``, if given, is
     written as ``rank``, a claimed index that ``index-file`` only compares.
     """
-    tensor = cent.action_structure_constants()
-    brackets = []
-    for (i, j) in sorted(tensor):
-        entry = tensor[(i, j)]
-        for k in sorted(entry):
-            brackets.append([i, j, k, entry[k], 1])
+    matrix = build_action_matrix(cent)
+    brackets = [[i, j, k, row[j][k], 1] for i, row in enumerate(matrix.cells)
+                for j in sorted(row) for k in sorted(row[j])]
     doc = {
-        "dim_q": len(cent.by_degree[0]),
-        "dim_v": len(cent.by_degree[cent.m - 1]),
+        "dim_q": matrix.rows,
+        "dim_v": matrix.cols,
         "brackets": brackets,
         "index_lower_bound": min(cent.partition.residue_counts(cent.m)),
     }

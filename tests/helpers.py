@@ -219,20 +219,23 @@ def bracket(cent: GradedCentralizer, x: XiElement, y: XiElement) -> dict[XiEleme
 
 
 def dense_action_structure_constants(cent: GradedCentralizer):
-    """The action tensor of ``cent`` from ``bracket`` on every pair (x, v).
+    """The action rows of ``cent`` from ``bracket`` on every pair (x, v).
 
-    Same layout as ``action_structure_constants``: x over the degree-0
-    basis, v over the degree-(m-1) basis, a key only for a nonzero bracket.
+    Same layout as ``action_structure_constants``: one row per x in the
+    degree-0 basis, keyed by the index j of v in the degree-(m-1) basis,
+    a key only for a nonzero bracket.
     """
     module = cent.by_degree[cent.m - 1]
     col = {v: k for k, v in enumerate(module)}
-    tensor = {}
-    for i, x in enumerate(cent.by_degree[0]):
+    rows = []
+    for x in cent.by_degree[0]:
+        row = {}
         for j, v in enumerate(module):
             terms = bracket(cent, x, v)
             if terms:
-                tensor[(i, j)] = {col[z]: c for z, c in terms.items()}
-    return tensor
+                row[j] = {col[z]: c for z, c in terms.items()}
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

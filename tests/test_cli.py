@@ -480,6 +480,17 @@ class TestIndexFileCommand:
         doc = json.loads(out)
         assert doc["decided_by"] == "undecided" and doc["matches_declared"] is None
 
+    def test_certification_packs_only_the_used_indeterminates(self, capsys, tmp_path):
+        # the skew document padded to 300000 module coordinates: its reduced
+        # 3x3 matrix uses three of them, and packing exponents for all of
+        # them would take seconds before the first read of the deadline
+        path = self.write(tmp_path, {**SKEW_DOCUMENT, "dim_v": 300000})
+        code, out, _ = run_cli(capsys, "index-file", path, "--cert-timeout", "0.5",
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["decided_by"] == "certified-rank" and doc["index"] == 299998
+
     @pytest.mark.parametrize("bound", [-1, True, 1.5, 2])
     def test_invalid_index_lower_bound(self, capsys, tmp_path, bound):
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "brackets": [],

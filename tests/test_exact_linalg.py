@@ -394,6 +394,24 @@ class TestCertifiedRank:
                 for i in range(n)]
         assert certified_rank(matrix_of(grid, 1)) == n
 
+    def test_packing_covers_only_the_used_indeterminates(self, monkeypatch):
+        # 10**6 indeterminates, two of them used: packing all of them would
+        # build exponents of millions of bits before the first cell
+        import thetagib.exact_linalg as el
+
+        packed = []
+
+        def packing(nvars, max_degree):
+            packed.append(nvars)
+            assert nvars == 2, "a field for every indeterminate"
+            return _packing(nvars, max_degree)
+
+        monkeypatch.setattr(el, "_packing", packing)
+        m = LinearFormMatrix([{0: {5: 1}, 1: {999_999: 2}}, {0: {999_999: 1}, 1: {5: -1}}],
+                             10**6, 2)
+        assert certified_rank(m) == 2
+        assert packed == [2]
+
     def test_resource_limit_is_catchable(self):
         rng = random.Random(4)
         grid = [[{k: rng.randint(1, 9) for k in range(6)}

@@ -172,6 +172,16 @@ class TestCheckRep:
         with pytest.raises(ValueError):
             check_rep(ThetaRep.of(2, 3, 1), **budget)
 
+    def test_trials_below_one_are_rejected_before_any_orbit_is_built(self, monkeypatch):
+        import thetagib.gib_checker as gc
+
+        def forbidden(*a, **k):
+            raise AssertionError("an orbit was built")
+
+        monkeypatch.setattr(gc, "build_centralizer", forbidden)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            check_rep(ThetaRep.of(5, 5, 5), trials=0)
+
     def test_certification_cap_counts_attempts(self, monkeypatch):
         # a run that exceeds max_terms uses up the budget like a finished one
         import thetagib.index_engine as ie
