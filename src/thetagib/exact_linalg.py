@@ -193,10 +193,10 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     """Rank over F_p of M at an integer point: the number of ``pivot_columns_mod``.
 
     A lower bound for the generic rank, as reducing mod p only loses rank.
-    ``index_engine.transversal_slice`` takes as J the complement of those
-    pivots with the columns right to left, then checks with this rank that
-    they have full rank: that check, not how J was found, proves that e_J
-    completes the rows.
+    ``index_engine.transversal_slice`` takes as J the non-pivot columns,
+    then checks with this rank that the pivot columns have full rank: any
+    full-rank pivot set gives a slice, and that check, not how J was
+    found, proves that e_J completes the rows.
     """
     return len(pivot_columns_mod(M, point, ceiling))
 

@@ -136,11 +136,11 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
     whose differential at (1, xi0) is onto, so the map is dominant.  Its
     image meets the dense open set where the rank is generic, and a
     Q-orbit through that set meets the slice, so the generic rank on the
-    slice equals the generic rank on V*.  J is the complement of the F_p
-    pivots at xi0 taken right to left, and a separate F_p rank proves that
-    e_J completes (see ``transversal_slice``).  ``ground_field_reduce``
-    keeps only Q-linear relations among rows and columns, which survive
-    the substitution, so the slice is applied to ``reduced``.
+    slice equals the generic rank on V*.  J is the set of non-pivot columns
+    at xi0: any full-rank pivot set gives a slice, and a separate F_p rank
+    proves that the pivots have full rank (see ``transversal_slice``).
+    ``ground_field_reduce`` keeps only Q-linear relations among rows and
+    columns, which survive the substitution, so it slices ``reduced``.
     ``index_of_matrix`` (and so ``index-file``) keeps the plain routine: a
     document need not come from a Lie algebra action, and without one the
     rank need not be constant along any orbits.
@@ -206,24 +206,22 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
 
     ``matrix`` is an action matrix: its columns are the s coordinates of
     V*, numbered like its indeterminates, so its rows at ``point`` span
-    q.point.  J is the complement of the ``pivot_columns_mod`` at ``point``
-    with the columns right to left, the k whose e_k the rows and the e_J
-    before it do not span: e_J greedily completes the rows to Q^s.  a_k
-    becomes b_t for the t-th index k of J, and point[k] * b_0 for k outside
-    J: coordinates of span(point, e_J), sparser than b_0 * point plus the
-    b_t * e_(j_t).  Raises ``ValueError`` unless the pivots have full rank
-    at ``point`` by ``rank_at_point_mod``: only a defect fails that check,
-    but it, not how J was found, proves that e_J completes the rows.
+    q.point.  J is the set of columns that are not ``pivot_columns_mod`` at
+    ``point``.  Any pivot set on which the rows have full rank gives a
+    slice: the rows map onto those coordinates and e_J spans the others.
+    a_k becomes b_t for the t-th index k of J, and point[k] * b_0 for k
+    outside J: coordinates of span(point, e_J), sparser than b_0 * point
+    plus the b_t * e_(j_t).  Raises ``ValueError`` unless the pivots have
+    full rank at ``point`` by ``rank_at_point_mod``: that check, not how J
+    was found, proves that e_J completes the rows to Q^s.
     """
     s = matrix.cols
     if matrix.num_indeterminates != s:
         raise ValueError("an action matrix has one indeterminate per column")
-    n = matrix.rows
-    pivots = pivot_columns_mod(matrix.permuted(range(n), range(s - 1, -1, -1)), point)
-    rest = sorted(s - 1 - t for t in pivots)
-    var = {k: t for t, k in enumerate(sorted(set(range(s)).difference(rest)), 1)}  # J
-    # a rank over F_p is at most the rank over Q, which is at most len(rest)
-    if rank_at_point_mod(matrix.permuted(range(n), rest), point) != len(rest):
+    pivots = pivot_columns_mod(matrix, point)
+    var = {k: t for t, k in enumerate(sorted(set(range(s)).difference(pivots)), 1)}  # J
+    # a rank over F_p is at most the rank over Q, which is at most len(pivots)
+    if rank_at_point_mod(matrix.permuted(range(matrix.rows), pivots), point) != len(pivots):
         raise ValueError("the unit vectors do not complete the orbit tangent to Q^s")
     cells = []
     for row in reduced.cells:
@@ -340,13 +338,15 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
     as proven, as ``export_action`` proves it: ``index_of_matrix`` uses it
     as its ``target``.  It must be an integer from 0 to ``dim_v``.
 
-    Row i of the matrix is x_i's action, and scaling it by a nonzero
-    constant keeps the generic rank, so each row is stored as a primitive
-    integer row: its coefficients are multiplied by L_i, the lcm of the
-    denominators in the row's brackets, and then divided by their gcd.
-    Repeated (i, j, k) brackets accumulate first, and a coefficient that
-    cancels to zero is not stored.  The parse uses ints only; a row whose
-    content is a multiple of the evaluation prime thus keeps its F_p rank.
+    The matrix holds only what the document states, as neither a zero row
+    nor an unused indeterminate changes the generic rank: the actions x_i
+    with a nonzero cell, in order of i, on ``dim_v`` columns, in the u
+    indeterminates that occur, renumbered 0..u-1 in increasing order.
+    Row scaling keeps the rank too, so each row is primitive in integers:
+    its coefficients times the lcm of its brackets' denominators, divided
+    by their gcd.  Repeated (i, j, k) brackets accumulate first, and a
+    coefficient that cancels is not stored.  Ints only: a row whose content
+    is a multiple of the evaluation prime keeps its F_p rank.
     """
     if not isinstance(doc, dict):
         raise GenericActionError("document must be a JSON object")
@@ -366,10 +366,8 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
                 raise GenericActionError(f"{where}: {name} must be an integer")
         if not 0 <= i < dim_q:
             raise GenericActionError(f"{where}: i={i} out of range (dim_q={dim_q})")
-        if not 0 <= j < dim_v:
-            raise GenericActionError(f"{where}: j={j} out of range (dim_v={dim_v})")
-        if not 0 <= k < dim_v:
-            raise GenericActionError(f"{where}: k={k} out of range (dim_v={dim_v})")
+        if not (0 <= j < dim_v and 0 <= k < dim_v):
+            raise GenericActionError(f"{where}: j={j}, k={k} out of range (dim_v={dim_v})")
         if den == 0:
             raise GenericActionError(f"{where}: zero denominator")
         row_lcm[i] = lcm(row_lcm.get(i, 1), den)
@@ -377,14 +375,16 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
     for i, j, k, num, den in brackets:
         entry = rows[i].setdefault(j, {})
         entry[k] = entry.get(k, 0) + num * (row_lcm[i] // den)
-    empty: dict[int, dict[int, int]] = {}  # every row without brackets shares it
-    cells = [empty] * dim_q
-    for i, row in rows.items():
-        row = {j: kept for j, entry in row.items()
+    stated = []  # (row, content) for each row with a nonzero cell
+    for i in sorted(rows):
+        row = {j: kept for j, entry in rows[i].items()
                if (kept := {k: c for k, c in entry.items() if c})}
-        content = gcd(*(c for entry in row.values() for c in entry.values()))
-        cells[i] = row if content < 2 else {j: {k: c // content for k, c in entry.items()}
-                                            for j, entry in row.items()}
+        if row:
+            stated.append((row, gcd(*(c for entry in row.values() for c in entry.values()))))
+    used = {k: t for t, k in enumerate(sorted({k for row, _ in stated
+                                                for entry in row.values() for k in entry}))}
+    cells = [{j: {used[k]: c // content for k, c in entry.items()} for j, entry in row.items()}
+             for row, content in stated]
     declared = _require_int(doc, "rank") if "rank" in doc else None
     bound = None
     if "index_lower_bound" in doc:
@@ -392,7 +392,7 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
         if bound > dim_v:
             raise GenericActionError(f"field 'index_lower_bound' must be at most "
                                      f"dim_v={dim_v}, got {bound}")
-    return LinearFormMatrix(cells, dim_v, dim_v), declared, bound
+    return LinearFormMatrix(cells, len(used), dim_v), declared, bound
 
 
 def export_action(cent: GradedCentralizer, declared_rank: int | None = None) -> dict:

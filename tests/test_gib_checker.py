@@ -60,6 +60,18 @@ class TestCheckOrbit:
         assert v.index_result.index == 6
         assert v.gib is False
 
+    @pytest.mark.parametrize("orbit", [
+        "2^1 2^1 2^2 2^2 2^2 2^2 1^1 1^1 1^1 1^2",      # 50x43
+        "2^1 2^1 2^2 2^2 2^2 1^0 1^1 1^1 1^1 1^2 1^2",  # 52x45
+    ])
+    def test_n16_classes_of_457_are_certified(self, orbit):
+        # two classes at the n 16 frontier; each certifies on a slice
+        # through the F_p pivots in well under a second
+        v = check_orbit(ThetaRep.of(4, 5, 7), LabeledPartition.parse(orbit), cert_timeout=10)
+        assert v.decided_by == DECIDED_BY_CERTIFIED_RANK
+        assert v.index_result.index == 6
+        assert v.gib is False
+
     def test_force_certify_decides_exactly(self):
         rep = ThetaRep.of(3, 3, 2)
         v = check_orbit(rep, LabeledPartition(((5, 0), (3, 1))), force_certify=True)

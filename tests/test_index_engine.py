@@ -152,23 +152,20 @@ CERTIFY_ORBITS = [
 ]
 
 
-def _completing_units(rows, s):
-    """The k, in order, of each unit vector e_k independent of ``rows`` and earlier ones."""
-    basis = []  # (pivot, row): each row is zero at the pivots before its own
-
-    def independent(v):
+def _leftmost_pivots(rows, s):
+    """The k, in order, of each column of ``rows`` outside the Q-span of the columns before it."""
+    basis = []  # (pivot, column): each column is zero at the pivots before its own
+    pivots = []
+    for k in range(s):
+        v = [Fraction(row[k]) for row in rows]
         for pivot, b in basis:
             if v[pivot]:
                 f = v[pivot] / b[pivot]
                 v = [x - f * y for x, y in zip(v, b)]
         if any(v):
-            basis.append((next(j for j, x in enumerate(v) if x), v))
-            return True
-        return False
-
-    for row in rows:
-        independent([Fraction(x) for x in row])
-    return [k for k in range(s) if independent([Fraction(int(x == k)) for x in range(s)])]
+            basis.append((next(i for i, x in enumerate(v) if x), v))
+            pivots.append(k)
+    return pivots
 
 
 def _orbit_matrices(r, orbit):
@@ -209,13 +206,15 @@ class TestTransversalSlice:
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), "certify"])
     def test_slice_is_the_reduced_matrix_on_the_slice(self, r):
-        # J completes the rows at the point to Q^s, found greedily by the
-        # rational rank oracle; b = (b_0, b_J) stands for the point a with
-        # a_k = b_t for the t-th k of J and a_k = point[k] * b_0 otherwise
+        # J is the complement of the leftmost pivot columns of the rows at
+        # the point, found by rational elimination; b = (b_0, b_J) stands
+        # for the point a with a_k = b_t for the t-th k of J and
+        # a_k = point[k] * b_0 otherwise
         rng = random.Random(sum(r) if r != "certify" else 0)
         for label, m, reduced, point in _slice_cases(r, rng):
             s = m.cols
-            complement = _completing_units(evaluate(m, point), s)
+            pivots = set(_leftmost_pivots(evaluate(m, point), s))
+            complement = [k for k in range(s) if k not in pivots]
             sliced = transversal_slice(m, reduced, point)
             assert sliced.num_indeterminates == len(complement) + 1, label
             assert all(c for row in sliced.cells for e in row.values() for c in e.values())
@@ -485,22 +484,27 @@ class TestGenericDocuments:
         assert mat.cells == ({0: {0: 1}, 1: {1: 1}}, {0: {1: 4}, 1: {0: -5}})
         assert all(type(c) is int
                    for row in mat.cells for e in row.values() for c in e.values())
-        # 1/2 - 1/2 accumulates to a zero coefficient, which is not stored
+        # 1/2 - 1/2 accumulates to a zero coefficient, which is not stored,
+        # and leaves a zero row, which is not stored either
         mat, _, _ = parse_action_document(
             {"dim_q": 1, "dim_v": 1, "brackets": [[0, 0, 0, 1, 2], [0, 0, 0, -1, 2]]})
-        assert mat.cells == ({},)
+        assert mat.cells == ()
 
     @staticmethod
     def assert_primitive_multiple(parsed: LinearFormMatrix, oracle):
         # each parsed row is a primitive int row, a rational multiple of the
-        # oracle's row with the same nonzero cells
+        # oracle's row with the same nonzero cells; the parse keeps only the
+        # rows with a nonzero cell and renumbers the indeterminates that occur
+        oracle = [ref for ref in oracle if any(ref)]
+        used = sorted({k for ref in oracle for e in ref for k in e})
+        assert parsed.num_indeterminates == len(used)
+        new = {k: t for t, k in enumerate(used)}
+        oracle = [[{new[k]: c for k, c in e.items()} for e in ref] for ref in oracle]
         for row, ref in zip(parsed.cells, oracle, strict=True):
             assert ({j: sorted(e) for j, e in row.items()}
                     == {j: sorted(e) for j, e in enumerate(ref) if e})
             coeffs = [c for e in row.values() for c in e.values()]
             assert all(type(c) is int for c in coeffs)
-            if not coeffs:
-                continue
             assert gcd(*coeffs) == 1
             j, k = next((j, k) for j, e in enumerate(ref) for k in e)
             factor = Fraction(row[j][k]) / ref[j][k]
@@ -572,7 +576,7 @@ class TestGenericDocuments:
                             [1, 1, 1, 5, 1], [2, 1, 0, 7, 2], [2, 1, 0, -7, 2]]}
         mat, _, _ = parse_action_document(doc)
         self.assert_primitive_multiple(mat, fraction_parse(doc))
-        assert mat.cells == ({1: {1: 4, 0: 3}}, {1: {1: 1}}, {})
+        assert mat.cells == ({1: {1: 4, 0: 3}}, {1: {1: 1}})
 
     @pytest.mark.parametrize("doc,fragment", [
         ({"dim_v": 1}, "dim_q"),
@@ -600,6 +604,18 @@ class TestGenericDocuments:
         assert [(i, row) for i, row in enumerate(mat.cells) if row] == [(0, {0: {0: 1}})]
         res = index_of_matrix(mat)
         assert (res.index, res.decided_by) == (2999, DECIDED_BY_REDUCED_SHAPE)
+
+    @pytest.mark.parametrize("dim_q, dim_v", [(10**12, 2), (2, 10**12)])
+    def test_a_document_holds_only_what_it_states(self, dim_q, dim_v):
+        # one stored row in one indeterminate, a_1 renumbered to a_0,
+        # whatever dim_q and dim_v declare; the shape is checked before any
+        # rank layer could walk dim_q rows or draw dim_v coordinates
+        mat, _, _ = parse_action_document(
+            {"dim_q": dim_q, "dim_v": dim_v, "brackets": [[0, 1, 1, 1, 1]]})
+        assert (mat.rows, mat.cols, mat.num_indeterminates) == (1, dim_v, 1)
+        assert mat.cells == ({1: {0: 1}},)
+        res = index_of_matrix(mat)
+        assert (res.index, res.decided_by) == (dim_v - 1, DECIDED_BY_REDUCED_SHAPE)
 
     def test_empty_acting_algebra(self):
         mat, _, _ = parse_action_document({"dim_q": 0, "dim_v": 3, "brackets": []})
