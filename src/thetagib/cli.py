@@ -23,13 +23,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .centralizer import build_centralizer
-from .exact_linalg import DEFAULT_TERM_LIMIT, DEFAULT_TRIALS
+from .exact_linalg import DEFAULT_TERM_LIMIT
 from .gib_checker import GibReport, check_rep
 from .index_engine import (
     UNDECIDED,
     GenericActionError,
     index_of_matrix,
     parse_action_document,
+    validate_budget,
 )
 from .orbits import (
     LabeledPartition,
@@ -151,28 +152,31 @@ def row_from_report(report: GibReport, rep: ThetaRep | None = None) -> Classific
     )
 
 
-def sweep(spec: SweepSpec, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
-          certify_all: bool = False, max_terms: int = DEFAULT_TERM_LIMIT,
-          cert_timeout: float | None = None,
+def sweep(spec: SweepSpec, *, seed: int = 0, certify_all: bool = False,
+          max_terms: int = DEFAULT_TERM_LIMIT, cert_timeout: float | None = None,
           jobs: int = 1) -> list[ClassificationRow]:
     """Classify every grading in range; rows come back in deterministic order.
 
     Gradings that a rotation or reflection carries onto each other have the
     same verdict, so ``check_rep`` runs once per dihedral class, on its
     first grading in row order, and every other row of the class is built
-    from that report.  ``jobs`` worker processes split those class
-    representatives between them; it must be at least 1.
+    from that report.  ``jobs`` worker processes, at least 1 and at most
+    one per representative, split those representatives between them.  The
+    budget is checked before any grading runs, so an empty range rejects a
+    bad one too.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    validate_budget(max_terms, cert_timeout)
     reps = sweep_reps(spec)
     firsts: dict[tuple[int, ...], ThetaRep] = {}
     for rep in reps:
         firsts.setdefault(_dihedral_class(rep), rep)
-    task = functools.partial(check_rep, trials=trials, seed=seed, certify_all=certify_all,
+    task = functools.partial(check_rep, seed=seed, certify_all=certify_all,
                              max_terms=max_terms, cert_timeout=cert_timeout)
     if jobs > 1 and len(firsts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking executor starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             reports = list(pool.map(task, firsts.values()))
     else:
         reports = [task(rep) for rep in firsts.values()]
@@ -315,9 +319,8 @@ def _parse_range(text: str, name: str) -> tuple[int, int]:
 
 def _cmd_check(args) -> int:
     rep = ThetaRep.parse(args.rep)
-    report = check_rep(rep, trials=args.trials, seed=args.seed,
-                       certify_all=args.certify_all, max_terms=args.max_terms,
-                       cert_timeout=args.cert_timeout)
+    report = check_rep(rep, seed=args.seed, certify_all=args.certify_all,
+                       max_terms=args.max_terms, cert_timeout=args.cert_timeout)
     if args.format == "json":
         print(json.dumps(report_detail_dict(report), indent=2))
     elif args.format == "csv":
@@ -335,9 +338,8 @@ def _cmd_sweep(args) -> int:
         min_rank=0 if args.include_rank_zero else 1,
         dedup_cyclic=not args.no_dedup,
     )
-    rows = sweep(spec, trials=args.trials, seed=args.seed,
-                 certify_all=args.certify_all, max_terms=args.max_terms,
-                 cert_timeout=args.cert_timeout, jobs=args.jobs)
+    rows = sweep(spec, seed=args.seed, certify_all=args.certify_all,
+                 max_terms=args.max_terms, cert_timeout=args.cert_timeout, jobs=args.jobs)
     print(emit_report(rows, args.format), end="")
     return 2 if any(r.rep_gib is None for r in rows) else 0
 
@@ -397,9 +399,9 @@ def _cmd_index_file(args) -> int:
     except GenericActionError as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 1
-    result = index_of_matrix(matrix, target=bound, declared=declared, trials=args.trials,
-                             seed=args.seed, force_certify=args.certify_all,
-                             max_terms=args.max_terms, cert_timeout=args.cert_timeout)
+    result = index_of_matrix(matrix, target=bound, declared=declared, seed=args.seed,
+                             force_certify=args.certify_all, max_terms=args.max_terms,
+                             cert_timeout=args.cert_timeout)
     undecided = result.decided_by == UNDECIDED
     matches = None if declared is None or undecided else result.index == declared
     payload = {
@@ -442,10 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats):
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
-                       help="random evaluation points per rank bound")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the random evaluations")
+                       help="seed of the random F_p point for each rank bound")
         p.add_argument("--certify-all", action="store_true",
                        help="run the exact symbolic rank on every orbit")
         p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,

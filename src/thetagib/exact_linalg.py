@@ -4,12 +4,12 @@ The central object is a matrix of homogeneous linear forms in a_1, ..., a_s,
 stored as sparse integer rows: row i maps the column of each nonzero cell
 to its form, a dict from an indeterminate's 0-based index to its nonzero
 int coefficient.  Every routine below pays for the stored cells, but an F_p
-trial point has s coordinates and Bareiss builds a dense working grid.  The
+point has s coordinates and Bareiss builds a dense working grid.  The
 *generic rank* (the rank over the function field) is what index
 computations consume.  Row scaling keeps it, so a builder with rational
 data clears each row's denominators.  Three routines bracket it:
 
-* ``probabilistic_rank``: evaluate at random points of a large prime field.
+* ``probabilistic_rank``: evaluate at a random point of a large prime field.
   The result is a lower bound for the generic rank and equals it with
   overwhelming probability (Schwartz-Zippel: a nonzero minor of degree d
   vanishes at a uniform point with probability at most d/p).
@@ -60,8 +60,6 @@ USING_COMPILED_KERNEL = False
 #: Evaluation field for randomized rank: the prime p = 2**31 - 1, at which a
 #: nonzero minor of degree d vanishes at a random point with probability <= d/p.
 EVAL_PRIME = 2147483647
-
-DEFAULT_TRIALS = 3
 
 #: Abort certified elimination once any intermediate polynomial carries more
 #: terms than this; the caller then reports "undecided" instead of guessing.
@@ -201,36 +199,26 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     return len(pivot_columns_mod(M, point, ceiling))
 
 
-def probabilistic_rank(M: LinearFormMatrix, trials: int = DEFAULT_TRIALS,
-                       seed: int = 0, ceiling: int | None = None) -> int:
-    """Best rank of M over F_p at ``trials`` independent random points.
+def probabilistic_rank(M: LinearFormMatrix, *, seed: int = 0,
+                       ceiling: int | None = None) -> int:
+    """Rank of M over F_p at one random point, drawn from ``seed``.
 
-    Always a lower bound for the generic rank; equal to it unless every
-    trial point hits the zero set of a top-size minor.  Deterministic for a
-    fixed seed.  The trials stop early once one reaches min(rows, cols) or
-    ``ceiling``, a proven upper bound for the generic rank that only a
-    caller with a proof may pass (see ``pivot_columns_mod``).  No point
-    rank exceeds the generic rank, so a true ceiling changes no result:
-    it only skips trials and eliminations that could not raise it.
+    Always a lower bound for the generic rank; equal to it unless the point
+    hits the zero set of a top-size minor.  The elimination stops once it
+    reaches min(rows, cols) or ``ceiling``, a proven upper bound for the
+    generic rank that only a caller with a proof may pass (see
+    ``pivot_columns_mod``).  No point rank exceeds the generic rank, so a
+    true ceiling changes no result; at ceiling 0 no point is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    limit = _rank_limit(M, ceiling)
-    if limit == 0:
+    if _rank_limit(M, ceiling) == 0:
         return 0
     bits = random.Random(seed).getrandbits
     width = EVAL_PRIME.bit_length()
-    s = M.num_indeterminates
-    best = 0
-    for _ in range(trials):
-        point = [bits(width) for _ in range(s)]
-        # redraw what falls outside F_p, so each coordinate stays uniform on it
-        while point and max(point) >= EVAL_PRIME:
-            point = [x if x < EVAL_PRIME else bits(width) for x in point]
-        best = max(best, rank_at_point_mod(M, point, ceiling))
-        if best == limit:
-            break
-    return best
+    point = [bits(width) for _ in range(M.num_indeterminates)]
+    # redraw what falls outside F_p, so each coordinate stays uniform on it
+    while point and max(point) >= EVAL_PRIME:
+        point = [x if x < EVAL_PRIME else bits(width) for x in point]
+    return rank_at_point_mod(M, point, ceiling)
 
 
 # ---------------------------------------------------------------------------

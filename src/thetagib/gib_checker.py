@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .centralizer import build_centralizer
-from .exact_linalg import DEFAULT_TERM_LIMIT, DEFAULT_TRIALS
+from .exact_linalg import DEFAULT_TERM_LIMIT
 from .index_engine import (  # the DECIDED_BY_* names are read from here too
     DECIDED_BY_BOUND_MATCH,
     DECIDED_BY_CERTIFIED_RANK,
@@ -108,8 +108,7 @@ class GibReport:
         return tuple(v.orbit for v in self.verdicts if v.decided_by == UNDECIDED)
 
 
-def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
+def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *, seed: int = 0,
                 force_certify: bool = False,
                 max_terms: int = DEFAULT_TERM_LIMIT,
                 cert_timeout: float | None = None) -> OrbitVerdict:
@@ -121,13 +120,13 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *,
     """
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
-    return _verdicts(rep, [(orbit, [orbit])], trials=trials, seed=seed,
-                     certify_all=force_certify, max_terms=max_terms,
-                     max_certifications=None, cert_timeout=cert_timeout)[0]
+    return _verdicts(rep, [(orbit, [orbit])], seed=seed, certify_all=force_certify,
+                     max_terms=max_terms, max_certifications=None,
+                     cert_timeout=cert_timeout)[0]
 
 
 def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledPartition]]],
-              *, trials: int, seed: int, certify_all: bool, max_terms: int,
+              *, seed: int, certify_all: bool, max_terms: int,
               max_certifications: int | None,
               cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
     """The verdicts of the members of ``classes``, in canonical order.
@@ -138,7 +137,7 @@ def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledP
     """
     rank = rep.rank()
     matrices = [build_action_matrix(build_centralizer(orbit, rep.m)) for orbit, _ in classes]
-    results = prove_indices([(matrix, rank) for matrix in matrices], trials=trials, seed=seed,
+    results = prove_indices([(matrix, rank) for matrix in matrices], seed=seed,
                             certify_all=certify_all, max_terms=max_terms,
                             cert_timeout=cert_timeout, max_certifications=max_certifications,
                             rank=slice_rank)
@@ -152,8 +151,7 @@ def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledP
     return tuple(verdicts)
 
 
-def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
-              certify_all: bool = False,
+def check_rep(rep: ThetaRep, *, seed: int = 0, certify_all: bool = False,
               max_terms: int = DEFAULT_TERM_LIMIT,
               max_certifications: int | None = None,
               cert_timeout: float | None = None) -> GibReport:
@@ -170,10 +168,8 @@ def check_rep(rep: ThetaRep, *, trials: int = DEFAULT_TRIALS, seed: int = 0,
     class is resolved, which keeps the report seed-independent and the
     bad-orbit list complete.
     """
-    if trials < 1:  # checked with the budget, before any orbit is built
-        raise ValueError(f"trials must be >= 1, got {trials}")
     validate_budget(max_terms, cert_timeout, max_certifications)
-    verdicts = _verdicts(rep, dihedral_classes(rep), trials=trials, seed=seed,
+    verdicts = _verdicts(rep, dihedral_classes(rep), seed=seed,
                          certify_all=certify_all, max_terms=max_terms,
                          max_certifications=max_certifications, cert_timeout=cert_timeout)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 from .centralizer import GradedCentralizer
 from .exact_linalg import (
     DEFAULT_TERM_LIMIT,
-    DEFAULT_TRIALS,
     LinearFormMatrix,
     ResourceLimitExceeded,
     certified_rank,
@@ -80,18 +79,19 @@ def validate_budget(max_terms: int, cert_timeout: float | None,
         raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
 
 
-def cheap_proof(matrix: LinearFormMatrix, target: int | None,
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
+def cheap_proof(matrix: LinearFormMatrix, target: int | None, seed: int = 0,
                 ) -> tuple[IndexResult, LinearFormMatrix | None]:
     """Prove the index of ``matrix`` without symbolic elimination, if possible.
 
     ``target`` is a proven lower bound for the index (min(r) for an orbit,
     a document's ``index_lower_bound``) or None.  It is a premise, so
-    ``cols - target`` is a proven ceiling for the generic rank: the
-    ``trials`` F_p trials of ``probabilistic_rank`` stop their eliminations
-    there, and once one trial reaches it no further trial runs, as none
-    could find more.  Their best rank, prob, is the same as with every
-    trial run to the end.  The proofs, cheapest first:
+    ``cols - target`` is a proven ceiling for the generic rank: the one
+    F_p elimination of ``probabilistic_rank``, at a point drawn from
+    ``seed``, stops there, as it could find no more.  Its rank, prob, is
+    the same as with the elimination run to the end.  A point that loses
+    rank still gives a lower bound: the matrix then misses the bound match
+    and falls through to the reduced shape or to ``certify``.  The proofs,
+    cheapest first:
 
       1. bound match: dim - prob is an upper bound for the index, so if it
          equals ``target`` the index is ``target``;
@@ -104,7 +104,7 @@ def cheap_proof(matrix: LinearFormMatrix, target: int | None,
     """
     dim = matrix.cols
     ceiling = None if target is None else dim - target
-    prob = probabilistic_rank(matrix, trials, seed, ceiling=ceiling)
+    prob = probabilistic_rank(matrix, seed=seed, ceiling=ceiling)
     if target is not None and dim - prob == target:
         return IndexResult(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
     reduced = ground_field_reduce(matrix)
@@ -161,12 +161,12 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
 
 
 def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
-                  trials: int, seed: int, certify_all: bool, max_terms: int,
+                  seed: int, certify_all: bool, max_terms: int,
                   cert_timeout: float | None, max_certifications: int | None = None,
                   rank: RankRoutine | None = None) -> list[IndexResult]:
     """The index of each (matrix, target) pair of ``problems``, in order.
 
-    ``cheap_proof(matrix, target, trials, seed)`` runs on every pair first.
+    ``cheap_proof(matrix, target, seed)`` runs on every pair first.
     Those it leaves undecided, or all under ``certify_all``, then go to
     ``certify`` with ``rank``, smallest reduced matrix first (the unreduced
     one after a bound match), ties in the given order, so the expensive
@@ -176,7 +176,7 @@ def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
     cap keeps its cheaper proof or stays ``UNDECIDED``.
     """
     validate_budget(max_terms, cert_timeout, max_certifications)
-    proofs = [cheap_proof(matrix, target, trials, seed) for matrix, target in problems]
+    proofs = [cheap_proof(matrix, target, seed) for matrix, target in problems]
     results = [result for result, _ in proofs]
 
     def size(i: int) -> int:
@@ -278,8 +278,7 @@ def build_action_matrix(cent: GradedCentralizer) -> LinearFormMatrix:
 
 
 def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
-                    declared: int | None = None,
-                    trials: int = DEFAULT_TRIALS, seed: int = 0,
+                    declared: int | None = None, seed: int = 0,
                     force_certify: bool = False,
                     max_terms: int = DEFAULT_TERM_LIMIT,
                     cert_timeout: float | None = None) -> IndexResult:
@@ -287,16 +286,15 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
 
     ``target`` is a proven lower bound for the index, such as min(r) for
     an exported orbit, or None; ``cheap_proof`` uses it as its premise.
-    ``declared`` is a claimed index and no premise: it neither ends the
-    trials nor matches, but a result that ``cheap_proof`` leaves undecided
-    is certified when either is given, and under ``force_certify``.
+    ``declared`` is a claimed index and no premise: it neither stops the
+    F_p elimination nor matches, but a result that ``cheap_proof`` leaves
+    undecided is certified when either is given, and under ``force_certify``.
     A bare matrix claims nothing to decide, so its undecided upper bound
     is reported without a Bareiss run over all its indeterminates.
     """
     bare = target is None and declared is None
-    return prove_indices([(matrix, target)], trials=trials, seed=seed,
-                         certify_all=force_certify, max_terms=max_terms,
-                         cert_timeout=cert_timeout,
+    return prove_indices([(matrix, target)], seed=seed, certify_all=force_certify,
+                         max_terms=max_terms, cert_timeout=cert_timeout,
                          max_certifications=0 if bare else None)[0]
 
 

@@ -28,10 +28,8 @@ def rep_of(*r: int) -> ThetaRep:
 
 
 @lru_cache(maxsize=None)
-def cached_check_rep(r: tuple, trials: int = 3, seed: int = 0,
-                     certify_all: bool = False):
-    return check_rep(ThetaRep.of(*r), trials=trials, seed=seed,
-                     certify_all=certify_all)
+def cached_check_rep(r: tuple, seed: int = 0, certify_all: bool = False):
+    return check_rep(ThetaRep.of(*r), seed=seed, certify_all=certify_all)
 
 
 def positive_rank_reps(n_max: int, m_max: int, n_min: int = 2, m_min: int = 2):

@@ -175,7 +175,7 @@ def test_criterion_9_property_suites():
 
     from thetagib import certified_rank, probabilistic_rank, build_action_matrix
     mat = build_action_matrix(build_centralizer(NILP_EX, 3))
-    assert probabilistic_rank(mat, 3, 0) <= certified_rank(mat)
+    assert probabilistic_rank(mat, seed=0) <= certified_rank(mat)
 
     from thetagib import dual_rep, normalize_cyclic, slice_reduce
     rep = ThetaRep.of(2, 2, 4)

@@ -136,7 +136,7 @@ class TestCheckCommand:
 class TestUsage:
     @pytest.mark.parametrize("argv, code", [
         (["check", "3,3,2", "--format", "xml"], 1),
-        (["check", "3,3,2", "--trials", "abc"], 1),
+        (["check", "3,3,2", "--seed", "abc"], 1),
         (["check"], 1),
         (["frobnicate"], 1),
         (["--help"], 0),
@@ -305,6 +305,40 @@ class TestSweepCommand:
         assert out == ""
         assert "jobs must be >= 1" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-terms", "-1", "max_terms must be >= 0, got -1"),
+        ("--cert-timeout", "-5", "cert_timeout must be >= 0, got -5.0"),
+    ], ids=["max_terms", "cert_timeout"])
+    def test_bad_budget_is_an_error_on_an_empty_range(self, capsys, flag, value, message):
+        # n 1:2 with m 3 holds no grading, so no check_rep sees the budget
+        code, out, err = run_cli(capsys, "sweep", "--n", "1:2", "--m", "3", flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_workers_never_outnumber_the_representatives(self, monkeypatch):
+        # a forking executor starts all max_workers processes at its first
+        # submit; m=3 n 3:4 has two dihedral classes, so two workers suffice
+        import thetagib.cli as cli
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        spec = SweepSpec(3, 4, 3, 3)
+        assert sweep(spec, jobs=64) == sweep(spec)
+        assert workers == [2]
+
     def test_bad_range_is_an_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--n", "x", "--m", "3"])
@@ -415,27 +449,29 @@ class TestIndexFileCommand:
         assert code == 0 and json.loads(out)["matches_declared"] is False
         assert len(calls) == 1
 
-    def test_declared_rank_does_not_end_the_trials(self, capsys, tmp_path, monkeypatch):
-        # a declared rank is no proven bound: dim - rank = 0 reached by a first
-        # trial that lost rank must not stop the trials and match the bound
+    def test_declared_rank_is_no_bound_match_premise(self, capsys, tmp_path, monkeypatch):
+        # a declared rank is no proven bound: dim - rank = 0 reached by a
+        # point that lost rank must not match it, so the one point rank
+        # falls through to certification
         import thetagib.exact_linalg as el
 
         ranks = []
 
-        def first_trial_loses_rank(*a, **k):
-            ranks.append(0 if not ranks else 1)
+        def first_point_loses_rank(*a, **k):
+            ranks.append(0 if not ranks else point_rank(*a, **k))
             return ranks[-1]
 
-        monkeypatch.setattr(el, "rank_at_point_mod", first_trial_loses_rank)
+        point_rank = el.rank_at_point_mod
+        monkeypatch.setattr(el, "rank_at_point_mod", first_point_loses_rank)
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 1,
                                      "brackets": [[0, 0, 0, 1, 1]]})
         code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert ranks == [0, 1]  # the second trial reached min(rows, cols)
-        assert (doc["prob_rank"], doc["index"]) == (1, 0)
+        assert ranks == [0]
+        assert (doc["prob_rank"], doc["index"]) == (0, 0)
         assert doc["matches_declared"] is False
-        assert doc["decided_by"] == "reduced-shape"
+        assert doc["decided_by"] == "certified-rank"
 
     def test_exported_bound_matches_after_one_trial(self, capsys, tmp_path, monkeypatch):
         # an exported orbit carries min(r) as its proven bound, which caps

@@ -78,11 +78,11 @@ class TestEvaluate:
 class TestProbabilisticRank:
     def test_zero_matrix(self):
         m = matrix_of([[{}, {}]], 2)
-        assert probabilistic_rank(m, 5, seed=1) == 0
+        assert probabilistic_rank(m, seed=1) == 0
 
     def test_single_nonzero_form(self):
         m = matrix_of([[lf(a1=1)]], 1)
-        assert probabilistic_rank(m, 3, seed=0) == 1
+        assert probabilistic_rank(m, seed=0) == 1
 
     def test_nilp_ex_matrix_rank_two(self):
         # 6x6 matrix of the (5,3,1) orbit at r=(3,3,3); its exact generic
@@ -91,7 +91,7 @@ class TestProbabilisticRank:
         cent = build_centralizer(LabeledPartition(((5, 0), (3, 1), (1, 2))), 3)
         m = build_action_matrix(cent)
         assert (m.rows, m.cols) == (6, 6)
-        assert probabilistic_rank(m, 3, seed=0) == 2
+        assert probabilistic_rank(m, seed=0) == 2
         assert certified_rank(m) == 2
 
     def test_points_are_redrawn_into_the_field(self, monkeypatch):
@@ -113,13 +113,14 @@ class TestProbabilisticRank:
         monkeypatch.setattr(el, "rank_at_point_mod",
                             lambda m, point, ceiling: points.append(point) or 0)
         m = matrix_of([[lf(a1=1, a2=1, a3=1)]], 3)
-        assert probabilistic_rank(m, 1) == 0
+        assert probabilistic_rank(m) == 0
         assert points == [[9, 5, 7]]
 
-    def test_trials_must_be_positive(self):
+    def test_seed_and_ceiling_are_keyword_only(self):
+        # read positionally, (m, 3, 0) would be seed 3 at ceiling 0: rank 0
         m = matrix_of([[lf(a1=1)]], 1)
-        with pytest.raises(ValueError):
-            probabilistic_rank(m, 0)
+        with pytest.raises(TypeError):
+            probabilistic_rank(m, 3, 0)
 
     def test_matches_scalar_rank_at_fixed_point(self):
         rng = random.Random(7)
@@ -201,10 +202,10 @@ class TestProbabilisticRank:
             point = [rng.randrange(EVAL_PRIME) for _ in range(m.num_indeterminates)]
             at_point = rank_at_point_mod(m, point)
             seed = rng.randrange(100)
-            prob = probabilistic_rank(m, 3, seed)
+            prob = probabilistic_rank(m, seed=seed)
             for ceiling in (generic, generic + 1, generic + 5):
                 assert rank_at_point_mod(m, point, ceiling=ceiling) == at_point
-                assert probabilistic_rank(m, 3, seed, ceiling=ceiling) == prob
+                assert probabilistic_rank(m, seed=seed, ceiling=ceiling) == prob
             # below the rank, the ceiling caps: only a proven one may be passed
             for ceiling in range(at_point):
                 assert rank_at_point_mod(m, point, ceiling=ceiling) == ceiling
@@ -489,10 +490,10 @@ class TestRankInvariants:
         rng = random.Random(6)
         for trial in range(25):
             m = random_matrix(rng)
-            prob = probabilistic_rank(m, 3, seed=trial)
+            prob = probabilistic_rank(m, seed=trial)
             cert = certified_rank(m)
             assert prob <= cert
-            assert prob == cert  # failure odds ~ (deg/p)^3, negligible
+            assert prob == cert  # failure odds ~ deg/p, negligible
 
     def test_rank_invariant_under_permutation_and_scaling(self):
         rng = random.Random(11)

@@ -184,16 +184,6 @@ class TestCheckRep:
         with pytest.raises(ValueError):
             check_rep(ThetaRep.of(2, 3, 1), **budget)
 
-    def test_trials_below_one_are_rejected_before_any_orbit_is_built(self, monkeypatch):
-        import thetagib.gib_checker as gc
-
-        def forbidden(*a, **k):
-            raise AssertionError("an orbit was built")
-
-        monkeypatch.setattr(gc, "build_centralizer", forbidden)
-        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
-            check_rep(ThetaRep.of(5, 5, 5), trials=0)
-
     def test_certification_cap_counts_attempts(self, monkeypatch):
         # a run that exceeds max_terms uses up the budget like a finished one
         import thetagib.index_engine as ie
@@ -227,9 +217,9 @@ class TestCheckRep:
         assert [(v.orbit, v.gib, v.index_result.index) for v in report.verdicts] == \
             [(v.orbit, v.gib, v.index_result.index) for v in cheap.verdicts]
 
-    def test_verdicts_independent_of_trials(self):
-        a = check_rep(ThetaRep.of(2, 2, 3), trials=1, seed=5)
-        b = check_rep(ThetaRep.of(2, 2, 3), trials=6, seed=11)
+    def test_verdicts_independent_of_seed(self):
+        a = check_rep(ThetaRep.of(2, 2, 3), seed=5)
+        b = check_rep(ThetaRep.of(2, 2, 3), seed=11)
         assert a.rep_gib == b.rep_gib
         assert [v.gib for v in a.verdicts] == [v.gib for v in b.verdicts]
 
@@ -402,9 +392,9 @@ class TestShiftClasses:
         capped = check_rep(ThetaRep.of(*r))
         ceilings = []
 
-        def uncapped(matrix, trials, seed, ceiling):
+        def uncapped(matrix, seed, ceiling):
             ceilings.append(ceiling)
-            return rank(matrix, trials, seed)
+            return rank(matrix, seed=seed)
 
         rank = ie.probabilistic_rank
         monkeypatch.setattr(ie, "probabilistic_rank", uncapped)
@@ -414,9 +404,9 @@ class TestShiftClasses:
         assert ceilings and all(c >= 0 for c in ceilings)
 
     def test_bound_matched_classes_run_one_trial(self, monkeypatch):
-        # on (3,3,3) the first trial of each of the 50 bound-matched classes
-        # reaches dim - min(r), and the one other class runs all three
-        # trials; a class whose ceiling dim - min(r) is 0 runs none
+        # on (3,3,3) each class runs one point rank, which for the 50
+        # bound-matched classes reaches dim - min(r); a class whose ceiling
+        # dim - min(r) is 0 runs none
         import thetagib.exact_linalg as el
 
         calls = []
@@ -432,7 +422,30 @@ class TestShiftClasses:
         matched = sum(v.decided_by == DECIDED_BY_BOUND_MATCH for v in classes)
         at_zero = sum(v.dim_module == report.rank for v in classes)
         assert (len(classes), matched, at_zero) == (51, 50, 1)
-        assert len(calls) == matched - at_zero + 3 * (len(classes) - matched) == 52
+        assert len(calls) == matched - at_zero + (len(classes) - matched) == 50
+
+    @pytest.mark.parametrize("orbit", ["5^0 3^1 1^2", "4^0 4^1 1^2"])
+    def test_a_point_that_loses_rank_falls_through_to_certification(self, monkeypatch, orbit):
+        # the one F_p point is a lower bound even when it hits a zero of a
+        # top minor: the bad orbit's reduced shape and the good orbit's
+        # bound match then fail, and the certified rank gives the same verdict
+        import thetagib.exact_linalg as el
+
+        rep = ThetaRep.of(3, 3, 3)
+        part = LabeledPartition.parse(orbit)
+        plain = check_orbit(rep, part)
+        ranks = []
+
+        def first_point_loses_rank(*a, **k):
+            ranks.append(point_rank(*a, **k) - (not ranks))
+            return ranks[-1]
+
+        point_rank = el.rank_at_point_mod
+        monkeypatch.setattr(el, "rank_at_point_mod", first_point_loses_rank)
+        v = check_orbit(rep, part)
+        assert len(ranks) == 1 and v.index_result.prob_rank == plain.index_result.prob_rank - 1
+        assert v.decided_by == DECIDED_BY_CERTIFIED_RANK != plain.decided_by
+        assert (v.index_result.index, v.gib) == (plain.index_result.index, plain.gib)
 
     def test_bad_orbits_of_333_share_one_certificate(self):
         report = cached_check_rep((3, 3, 3))

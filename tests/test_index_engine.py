@@ -321,7 +321,7 @@ class TestProveIndices:
 
     @staticmethod
     def prove(problems, **kw):
-        budget = dict(trials=3, seed=0, certify_all=False, max_terms=DEFAULT_TERM_LIMIT,
+        budget = dict(seed=0, certify_all=False, max_terms=DEFAULT_TERM_LIMIT,
                       cert_timeout=None)
         return prove_indices(problems, **{**budget, **kw})
 
@@ -526,9 +526,9 @@ class TestGenericDocuments:
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 3, 4)])
     def test_capped_trials_match_the_uncapped_run(self, r, monkeypatch):
-        # an exported document's bound is min(r), so capping the trials at
-        # dim - bound changes no result; a bound match takes one trial, or
-        # none when there is no rank to find
+        # an exported document's bound is min(r), so capping the F_p
+        # elimination at dim - bound changes no result; a bound match takes
+        # one point rank, or none when there is no rank to find
         import thetagib.index_engine as ie
 
         calls = []
@@ -553,12 +553,12 @@ class TestGenericDocuments:
             capped.append(index_of_matrix(mat, target=bound, declared=declared))
             if capped[-1].decided_by == DECIDED_BY_BOUND_MATCH:
                 assert len(calls) == min(1, mat.rows, mat.cols - bound), part
-        # the uncapped run: all three trials, then the same ladder
+        # the uncapped run: the same point, then the same ladder
         ceilings = []
 
-        def uncapped(matrix, trials, seed, ceiling):
+        def uncapped(matrix, seed, ceiling):
             ceilings.append(ceiling)
-            return rank(matrix, trials, seed)
+            return rank(matrix, seed=seed)
 
         rank = ie.probabilistic_rank
         monkeypatch.setattr(ie, "probabilistic_rank", uncapped)

@@ -125,7 +125,7 @@ class TestRankMonotonicity:
         rng = random.Random(2024)
         for trial in range(30):
             m = random_matrix(rng)
-            prob = probabilistic_rank(m, 3, seed=trial)
+            prob = probabilistic_rank(m, seed=trial)
             assert prob <= certified_rank(m)
 
     def test_equality_on_orbit_matrices(self):
@@ -133,7 +133,7 @@ class TestRankMonotonicity:
             rep = ThetaRep.of(*r)
             for part in all_nilpotent_orbits(rep):
                 mat = build_action_matrix(build_centralizer(part, rep.m))
-                assert probabilistic_rank(mat, 3, 0) == certified_rank(mat)
+                assert probabilistic_rank(mat, seed=0) == certified_rank(mat)
 
 
 class TestTransformImplications:
