@@ -37,6 +37,7 @@ from .orbits import (
     all_nilpotent_orbits,
     dihedral_images,
     dihedral_maps,
+    residue_image,
     residue_maps,
 )
 from .theta_gl import (
@@ -113,9 +114,7 @@ def sweep_reps(spec: SweepSpec) -> list[ThetaRep]:
 
 def _dihedral_class(rep: ThetaRep) -> tuple[int, ...]:
     """The least image of r under the residue maps of ``orbits.dihedral_maps``."""
-    m, r = rep.m, rep.r
-    return min(tuple(r[(sign * x + c) % m] for x in range(m))
-               for sign, c in residue_maps(m))
+    return min(residue_image(rep.r, sign, c) for sign, c in residue_maps(rep.m))
 
 
 def row_from_report(report: GibReport, rep: ThetaRep | None = None) -> ClassificationRow:
@@ -169,9 +168,10 @@ def sweep(spec: SweepSpec, *, seed: int = 0, certify_all: bool = False,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     validate_budget(max_terms, cert_timeout)
     reps = sweep_reps(spec)
+    keys = [_dihedral_class(rep) for rep in reps]
     firsts: dict[tuple[int, ...], ThetaRep] = {}
-    for rep in reps:
-        firsts.setdefault(_dihedral_class(rep), rep)
+    for key, rep in zip(keys, reps):
+        firsts.setdefault(key, rep)
     task = functools.partial(check_rep, seed=seed, certify_all=certify_all,
                              max_terms=max_terms, cert_timeout=cert_timeout)
     if jobs > 1 and len(firsts) > 1:
@@ -181,7 +181,7 @@ def sweep(spec: SweepSpec, *, seed: int = 0, certify_all: bool = False,
     else:
         reports = [task(rep) for rep in firsts.values()]
     by_class = dict(zip(firsts, reports))
-    return [row_from_report(by_class[_dihedral_class(rep)], rep) for rep in reps]
+    return [row_from_report(by_class[key], rep) for key, rep in zip(keys, reps)]
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,10 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *, seed: int = 0,
 
     ``force_certify`` certifies the orbit even when a cheaper proof holds,
     as ``certify_all`` does in ``check_rep``.  ``max_terms`` and
-    ``cert_timeout`` bound the certification as in ``check_rep``.
+    ``cert_timeout`` bound the certification as in ``check_rep``, and are
+    checked before any matrix is built.
     """
+    validate_budget(max_terms, cert_timeout)
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
     return _verdicts(rep, [(orbit, [orbit])], seed=seed, certify_all=force_certify,

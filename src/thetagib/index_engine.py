@@ -64,8 +64,8 @@ class IndexResult:
         return self.cert_rank is not None
 
 
-#: A certifying rank routine, called as rank(matrix, reduced, max_terms, timeout).
-RankRoutine = Callable[[LinearFormMatrix, LinearFormMatrix, int, float | None], int]
+#: A certifying rank routine, called as ``certified_rank`` is: rank(matrix, max_terms, timeout).
+RankRoutine = Callable[[LinearFormMatrix, int, float | None], int]
 
 
 def validate_budget(max_terms: int, cert_timeout: float | None,
@@ -80,7 +80,7 @@ def validate_budget(max_terms: int, cert_timeout: float | None,
 
 
 def cheap_proof(matrix: LinearFormMatrix, target: int | None, seed: int = 0,
-                ) -> tuple[IndexResult, LinearFormMatrix | None]:
+                ) -> tuple[IndexResult, int]:
     """Prove the index of ``matrix`` without symbolic elimination, if possible.
 
     ``target`` is a proven lower bound for the index (min(r) for an orbit,
@@ -99,33 +99,33 @@ def cheap_proof(matrix: LinearFormMatrix, target: int | None, seed: int = 0,
          ``ground_field_reduce(matrix)`` and at least prob, so prob equal to
          a side pins the rank.
 
-    Returns the result, ``UNDECIDED`` when neither holds, and the reduced
-    matrix, or None when step 1 decided without reducing.
+    Returns the result, ``UNDECIDED`` when neither holds, and its size for
+    the certify queue: rows x cols of the reduced matrix, or of ``matrix``
+    when step 1 decided without reducing.
     """
     dim = matrix.cols
     ceiling = None if target is None else dim - target
     prob = probabilistic_rank(matrix, seed=seed, ceiling=ceiling)
     if target is not None and dim - prob == target:
-        return IndexResult(dim, prob, None, DECIDED_BY_BOUND_MATCH), None
+        return IndexResult(dim, prob, None, DECIDED_BY_BOUND_MATCH), matrix.rows * dim
     reduced = ground_field_reduce(matrix)
+    size = reduced.rows * reduced.cols
     if prob in (reduced.rows, reduced.cols):
-        return IndexResult(dim, prob, prob, DECIDED_BY_REDUCED_SHAPE), reduced
-    return IndexResult(dim, prob, None, UNDECIDED), reduced
+        return IndexResult(dim, prob, prob, DECIDED_BY_REDUCED_SHAPE), size
+    return IndexResult(dim, prob, None, UNDECIDED), size
 
 
-def certify(matrix: LinearFormMatrix, result: IndexResult,
-            reduced: LinearFormMatrix | None, max_terms: int,
+def certify(matrix: LinearFormMatrix, result: IndexResult, max_terms: int,
             cert_timeout: float | None,
             rank: RankRoutine | None = None) -> IndexResult:
     """The certified rank of ``matrix``, after ``cheap_proof`` gave ``result``.
 
-    ``reduced`` is the reduction ``cheap_proof`` returned; None reduces here.
-    ``rank(matrix, reduced, max_terms, timeout)`` certifies the rank; None
-    runs ``certified_rank`` on ``reduced``.  A certification that exceeds
-    ``max_terms`` terms or ``cert_timeout`` seconds (None: no limit)
-    returns ``result`` unchanged, so whichever cheaper proof held stands,
-    or ``UNDECIDED``.  A certified rank below ``result.prob_rank``, itself
-    a lower bound, contradicts the proof and raises ``RuntimeError``.
+    ``rank(matrix, max_terms, timeout)`` certifies the rank; None runs
+    ``certified_rank``, which reduces ``matrix`` itself.  A certification
+    that exceeds ``max_terms`` terms or ``cert_timeout`` seconds (None: no
+    limit) returns ``result`` unchanged, so whichever cheaper proof held
+    stands, or ``UNDECIDED``.  A certified rank below ``result.prob_rank``,
+    itself a lower bound, contradicts the proof and raises ``RuntimeError``.
 
     The orbit driver passes ``slice_rank``, which certifies on a linear
     slice through V* in index + 1 indeterminates instead of s.  Let Q be
@@ -139,19 +139,15 @@ def certify(matrix: LinearFormMatrix, result: IndexResult,
     slice equals the generic rank on V*.  J is the set of non-pivot columns
     at xi0: any full-rank pivot set gives a slice, and a separate F_p rank
     proves that the pivots have full rank (see ``transversal_slice``).
-    ``ground_field_reduce`` keeps only Q-linear relations among rows and
-    columns, which survive the substitution, so it slices ``reduced``.
+    Greedy in the given order, ``ground_field_reduce`` drops each row or
+    column that is a Q-combination of earlier kept ones, a relation the
+    slice keeps, so the reduced slice of ``matrix`` is that of its reduction.
     ``index_of_matrix`` (and so ``index-file``) keeps the plain routine: a
     document need not come from a Lie algebra action, and without one the
     rank need not be constant along any orbits.
     """
-    if reduced is None:
-        reduced = ground_field_reduce(matrix)
     try:
-        if rank is None:
-            cert = certified_rank(reduced, max_terms, cert_timeout)
-        else:
-            cert = rank(matrix, reduced, max_terms, cert_timeout)
+        cert = (rank or certified_rank)(matrix, max_terms, cert_timeout)
     except ResourceLimitExceeded:
         return result  # the cheaper proofs stay valid when elimination is abandoned
     if cert < result.prob_rank:
@@ -170,27 +166,22 @@ def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
     Those it leaves undecided, or all under ``certify_all``, then go to
     ``certify`` with ``rank``, smallest reduced matrix first (the unreduced
     one after a bound match), ties in the given order, so the expensive
-    eliminations run on the smallest matrices first.  Unless
-    ``certify_all``, at most ``max_certifications`` (None: no cap) are
-    attempted, a run that blows its budget included; a result past the
-    cap keeps its cheaper proof or stays ``UNDECIDED``.
+    eliminations run on the smallest matrices first; each gets its own
+    matrix, never its reduction.  Unless ``certify_all``, at most
+    ``max_certifications`` (None: no cap) are attempted, a run that blows
+    its budget included; a result past the cap keeps its cheaper proof or
+    stays ``UNDECIDED``.
     """
     validate_budget(max_terms, cert_timeout, max_certifications)
     proofs = [cheap_proof(matrix, target, seed) for matrix, target in problems]
     results = [result for result, _ in proofs]
-
-    def size(i: int) -> int:
-        reduced = proofs[i][1]
-        shape = problems[i][0] if reduced is None else reduced
-        return shape.rows * shape.cols
-
     queue = sorted((i for i, result in enumerate(results)
-                    if certify_all or result.decided_by == UNDECIDED), key=size)
+                    if certify_all or result.decided_by == UNDECIDED),
+                   key=lambda i: proofs[i][1])
     if not certify_all and max_certifications is not None:
         queue = queue[:max_certifications]
     for i in queue:
-        results[i] = certify(problems[i][0], results[i], proofs[i][1], max_terms,
-                             cert_timeout, rank)
+        results[i] = certify(problems[i][0], results[i], max_terms, cert_timeout, rank)
     return results
 
 
@@ -200,9 +191,8 @@ SLICE_POINT_RANGE = 2
 SLICE_FIRST_TERMS = 256
 
 
-def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
-                      point: Sequence[int]) -> LinearFormMatrix:
-    """``reduced`` restricted to span(``point``, e_J), in |J| + 1 indeterminates.
+def transversal_slice(matrix: LinearFormMatrix, point: Sequence[int]) -> LinearFormMatrix:
+    """``matrix`` restricted to span(``point``, e_J), in |J| + 1 indeterminates.
 
     ``matrix`` is an action matrix: its columns are the s coordinates of
     V*, numbered like its indeterminates, so its rows at ``point`` span
@@ -213,7 +203,8 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     outside J: coordinates of span(point, e_J), sparser than b_0 * point
     plus the b_t * e_(j_t).  Raises ``ValueError`` unless the pivots have
     full rank at ``point`` by ``rank_at_point_mod``: that check, not how J
-    was found, proves that e_J completes the rows to Q^s.
+    was found, proves that e_J completes the rows to Q^s.  The slice keeps
+    the shape of ``matrix``; ``certified_rank`` reduces it (see ``certify``).
     """
     s = matrix.cols
     if matrix.num_indeterminates != s:
@@ -224,7 +215,7 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
     if rank_at_point_mod(matrix.permuted(range(matrix.rows), pivots), point) != len(pivots):
         raise ValueError("the unit vectors do not complete the orbit tangent to Q^s")
     cells = []
-    for row in reduced.cells:
+    for row in matrix.cells:
         sliced = {}
         for j, e in row.items():
             b0 = sum(c * point[k] for k, c in e.items() if k not in var)
@@ -233,12 +224,11 @@ def transversal_slice(matrix: LinearFormMatrix, reduced: LinearFormMatrix,
             if form:
                 sliced[j] = form
         cells.append(sliced)
-    return LinearFormMatrix(cells, len(var) + 1, reduced.cols)
+    return LinearFormMatrix(cells, len(var) + 1, s)
 
 
-def slice_rank(matrix: LinearFormMatrix, reduced: LinearFormMatrix, max_terms: int,
-               timeout: float | None) -> int:
-    """Generic rank of ``reduced`` certified on a ``transversal_slice``.
+def slice_rank(matrix: LinearFormMatrix, max_terms: int, timeout: float | None) -> int:
+    """Generic rank of the action matrix ``matrix`` certified on a ``transversal_slice``.
 
     The time to certify depends on the base point, so points race: attempt
     k slices through a point with entries in [-2, 2] drawn from
@@ -260,7 +250,7 @@ def slice_rank(matrix: LinearFormMatrix, reduced: LinearFormMatrix, max_terms: i
         point = [rng.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE)
                  for _ in range(matrix.cols)]
         try:
-            return certified_rank(transversal_slice(matrix, reduced, point), budget, left)
+            return certified_rank(transversal_slice(matrix, point), budget, left)
         except ResourceLimitExceeded:
             if budget == max_terms:
                 raise

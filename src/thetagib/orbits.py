@@ -94,13 +94,17 @@ def dihedral_maps(r: tuple[int, ...], target: tuple[int, ...]) -> list[tuple[int
     """The residue maps x -> sign*x + c (mod m) that carry grading r onto ``target``.
 
     Each is a pair (sign, c) from ``residue_maps(m)``, listed in its order;
-    the map is allowed when target[sign*x + c] = r[x] for every residue x.
-    With ``target == r`` they are the symmetries of r, the identity (1, 0)
-    first.
+    the map is allowed when target[sign*x + c] = r[x] for every residue x,
+    that is when ``residue_image(target, sign, c) == r``.  With
+    ``target == r`` they are the symmetries of r, the identity (1, 0) first.
     """
-    m = len(r)
-    return [(sign, c) for sign, c in residue_maps(m)
-            if all(target[(sign * x + c) % m] == r[x] for x in range(m))]
+    return [(sign, c) for sign, c in residue_maps(len(r))
+            if residue_image(target, sign, c) == r]
+
+
+def residue_image(r: tuple[int, ...], sign: int, c: int) -> tuple[int, ...]:
+    """The grading x -> r[sign*x + c mod m], r read through a residue map."""
+    return tuple(r[(sign * x + c) % len(r)] for x in range(len(r)))
 
 
 def residue_maps(m: int) -> list[tuple[int, int]]:

@@ -119,6 +119,18 @@ class TestCheckOrbit:
         with pytest.raises(ValueError, match="cert_timeout"):
             check_orbit(rep, zero_orbit(rep), cert_timeout=-1)
 
+    @pytest.mark.parametrize("field", ["max_terms", "cert_timeout"])
+    def test_bad_budget_is_rejected_before_any_matrix_is_built(self, monkeypatch, field):
+        import thetagib.gib_checker as gc
+
+        def unreachable(*a, **k):
+            raise AssertionError("an action matrix was built")
+
+        monkeypatch.setattr(gc, "build_action_matrix", unreachable)
+        rep = ThetaRep.of(3, 3, 3)
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            check_orbit(rep, LabeledPartition.parse("5^0 3^1 1^2"), **{field: -1})
+
 
 class TestCheckRep:
     def test_224_and_231_are_good(self):
@@ -351,7 +363,7 @@ class TestShiftClasses:
     @pytest.mark.parametrize("certify_all", [False, True])
     def test_reductions_are_neither_skipped_nor_repeated(self, monkeypatch, certify_all):
         # the cheap pass reduces a class unless its bound matched, and the
-        # certify step reuses that reduction or makes the one it lacks
+        # certify step reduces nothing: it hands on the action matrix
         import thetagib.gib_checker as gc
         import thetagib.index_engine as ie
 
@@ -370,17 +382,16 @@ class TestShiftClasses:
         monkeypatch.setattr(ie, "ground_field_reduce", reduce)
         report = check_rep(ThetaRep.of(3, 3, 3), certify_all=certify_all,
                            cert_timeout=0.05 if certify_all else None)
-        reps = {v.computed_as: v for v in report.verdicts if v.computed_as == v.orbit}
+        reps = {v.computed_as for v in report.verdicts if v.computed_as == v.orbit}
         assert len(built) == len(reps) == 51
         times = [sum(r is m for r in reduced) for m in built]
-        if certify_all:
-            assert times == [1] * 51
-        else:
-            # classes are built in canonical order, as their representatives
-            matched = [reps[o].decided_by == DECIDED_BY_BOUND_MATCH for o in sorted(
-                reps, key=lambda o: o.sort_key())]
-            assert 0 < sum(matched) < 51
-            assert times == [0 if bound else 1 for bound in matched]
+        # classes are built in canonical order, as their representatives; the
+        # cheap pass, seeded alike, matches the bounds of the plain run
+        plain = {v.orbit: v.decided_by for v in cached_check_rep((3, 3, 3)).verdicts}
+        matched = [plain[o] == DECIDED_BY_BOUND_MATCH
+                   for o in sorted(reps, key=lambda o: o.sort_key())]
+        assert 0 < sum(matched) < 51
+        assert times == [0 if bound else 1 for bound in matched]
         assert len(reduced) == sum(times)
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), (2, 3, 4), (1, 2, 2, 2, 1, 0)])

@@ -173,6 +173,24 @@ def _orbit_matrices(r, orbit):
     return m, ground_field_reduce(m)
 
 
+def _substituted(matrix, point, complement):
+    """``matrix`` with a_k -> b_t for the t-th k of ``complement`` and
+    a_k -> point[k] * b_0 otherwise, b_0 numbered 0; zero forms dropped."""
+    var = {k: t for t, k in enumerate(complement, 1)}
+    cells = []
+    for row in matrix.cells:
+        out = {}
+        for j, e in row.items():
+            form = {}
+            for k, c in e.items():
+                t = var.get(k, 0)
+                form[t] = form.get(t, 0) + (c if t else c * point[k])
+            if any(form.values()):
+                out[j] = {t: c for t, c in form.items() if c}
+        cells.append(out)
+    return LinearFormMatrix(cells, len(complement) + 1, matrix.cols)
+
+
 def _slice_cases(r, rng):
     """(label, matrix, reduced, base point) for every orbit of r at a point
     drawn from ``rng``, or for "certify" the ``CERTIFY_ORBITS`` at the first
@@ -195,36 +213,42 @@ class TestTransversalSlice:
     @pytest.mark.parametrize("r, orbit", CERTIFY_ORBITS)
     def test_slice_and_plain_ranks_agree(self, r, orbit):
         m, reduced = _orbit_matrices(r, orbit)
-        assert slice_rank(m, reduced, 10**6, None) == certified_rank(reduced)
+        assert slice_rank(m, 10**6, None) == certified_rank(reduced)
 
     def test_slice_has_index_plus_one_indeterminates(self):
-        m, reduced = _orbit_matrices(*CERTIFY_ORBITS[0])
+        m, _ = _orbit_matrices(*CERTIFY_ORBITS[0])
         rng = random.Random(0)
-        sliced = transversal_slice(m, reduced, [rng.randint(-2, 2) for _ in range(m.cols)])
+        sliced = transversal_slice(m, [rng.randint(-2, 2) for _ in range(m.cols)])
         assert m.cols == 25 and sliced.num_indeterminates == 25 - 20 + 1
-        assert (sliced.rows, sliced.cols) == (reduced.rows, reduced.cols)
+        assert (sliced.rows, sliced.cols) == (m.rows, m.cols)
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), "certify"])
-    def test_slice_is_the_reduced_matrix_on_the_slice(self, r):
+    def test_slice_is_the_action_matrix_on_the_slice(self, r):
         # J is the complement of the leftmost pivot columns of the rows at
         # the point, found by rational elimination; b = (b_0, b_J) stands
         # for the point a with a_k = b_t for the t-th k of J and
-        # a_k = point[k] * b_0 otherwise
+        # a_k = point[k] * b_0 otherwise.  Bareiss sees the reduced slice,
+        # which must be the reduced matrix sliced that way and reduced again
         rng = random.Random(sum(r) if r != "certify" else 0)
         for label, m, reduced, point in _slice_cases(r, rng):
             s = m.cols
             pivots = set(_leftmost_pivots(evaluate(m, point), s))
             complement = [k for k in range(s) if k not in pivots]
-            sliced = transversal_slice(m, reduced, point)
+            sliced = transversal_slice(m, point)
             assert sliced.num_indeterminates == len(complement) + 1, label
             assert all(c for row in sliced.cells for e in row.values() for c in e.values())
-            at_point = evaluate(reduced, point)
+            at_point = evaluate(m, point)
             assert evaluate(sliced, [1] + [point[k] for k in complement]) == at_point, label
             b = [rng.randint(-50, 50) for _ in range(len(complement) + 1)]
             a = [point[k] * b[0] for k in range(s)]
             for t, k in enumerate(complement, 1):
                 a[k] = b[t]
-            assert evaluate(sliced, b) == evaluate(reduced, a), label
+            assert evaluate(sliced, b) == evaluate(m, a), label
+            grid = ground_field_reduce(sliced)
+            expected = ground_field_reduce(_substituted(reduced, point, complement))
+            assert (grid.rows, grid.cols, grid.num_indeterminates) == \
+                (expected.rows, expected.cols, expected.num_indeterminates), label
+            assert grid.cells == expected.cells, label
 
     def test_incomplete_complement_is_refused(self, monkeypatch):
         # a non-pivot column reported as a pivot drops its unit vector from
@@ -240,9 +264,9 @@ class TestTransversalSlice:
         monkeypatch.setattr(ie, "pivot_columns_mod", one_too_many)
         rep = ThetaRep.of(3, 3, 3)
         orbit = LabeledPartition.parse("2^0 2^0 2^0 1^2 1^2 1^2")
-        m, reduced = _orbit_matrices((3, 3, 3), orbit.to_text())
+        m, _ = _orbit_matrices((3, 3, 3), orbit.to_text())
         with pytest.raises(ValueError, match="complete"):
-            transversal_slice(m, reduced, [1] * m.cols)
+            transversal_slice(m, [1] * m.cols)
         with pytest.raises(ValueError, match="complete"):
             check_orbit(rep, orbit, force_certify=True)
 
@@ -264,9 +288,9 @@ class TestTransversalSlice:
             raise ResourceLimitExceeded("blown")
 
         monkeypatch.setattr(ie, "certified_rank", blown)
-        m, reduced = _orbit_matrices(*CERTIFY_ORBITS[0])
+        m, _ = _orbit_matrices(*CERTIFY_ORBITS[0])
         with pytest.raises(ResourceLimitExceeded):
-            slice_rank(m, reduced, 1000, 60.0)
+            slice_rank(m, 1000, 60.0)
         assert [terms for _, terms, _ in calls] == [256, 512, 1000]
         left = [timeout for _, _, timeout in calls]
         assert 60.0 >= left[0] > left[1] > left[2] > 0  # one deadline, read per attempt
@@ -331,10 +355,9 @@ class TestProveIndices:
         problems = _queue_problems()
         seen = self.record(monkeypatch)
         self.prove(problems, certify_all=True)
-        order = [2, 0, 1, 3]
-        assert [(rows, cols) for rows, cols, _ in seen] == [(2, 4), (3, 3), (0, 0), (3, 3)]
-        assert [cells for _, _, cells in seen] == \
-            [ground_field_reduce(problems[i][0]).cells for i in order]
+        # each problem's own matrix reaches certified_rank, never its reduction
+        assert [next(i for i, (m, _) in enumerate(problems) if m.cells is cells)
+                for _, _, cells in seen] == [2, 0, 1, 3]
 
     def test_cap_counts_attempts_a_blown_budget_included(self, monkeypatch):
         problems = [_queue_problems()[i] for i in (0, 3)]
