@@ -85,12 +85,14 @@ class ClassificationRow:
     agreement: bool | None
 
 
-def _compositions(n: int, parts: int):
+def _compositions(n: int, parts: int, least: int):
+    """Every vector of ``parts`` integers >= ``least`` with sum ``n``, in lexicographic order."""
     if parts == 1:
-        yield (n,)
+        if n >= least:
+            yield (n,)
         return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
+    for first in range(least, n - least * (parts - 1) + 1):
+        for rest in _compositions(n - first, parts - 1, least):
             yield (first,) + rest
 
 
@@ -100,9 +102,7 @@ def sweep_reps(spec: SweepSpec) -> list[ThetaRep]:
     for m in range(spec.m_min, spec.m_max + 1):
         for n in range(spec.n_min, spec.n_max + 1):
             seen = set()
-            for r in _compositions(n, m):
-                if min(r) < spec.min_rank:
-                    continue
+            for r in _compositions(n, m, max(spec.min_rank, 0)):
                 key = min(rotations(r)) if spec.dedup_cyclic else r
                 if key in seen:
                     continue

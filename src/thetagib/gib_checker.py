@@ -19,9 +19,10 @@ for that index.  The per-orbit procedure:
 which certifies over all indeterminates (see ``index_engine.certify``).
 
 A whole grading has the property iff every orbit does.  ``prove_indices``
-runs the cheap proofs on every class before it certifies any, and without
-a cap it certifies every class they leave, so a FALSE report names every
-bad orbit with a proof.
+runs the cheap proofs on every class before it certifies any, and it
+certifies every class they leave, so a FALSE report names every bad
+orbit with a proof unless a class ran out of ``max_terms`` or
+``cert_timeout``; such a class stays UNDECIDED.
 
 The driver also computes each orbit once per dihedral class: the orbits
 that a symmetry of r, a rotation or a reflection of the residues mod m,
@@ -123,13 +124,11 @@ def check_orbit(rep: ThetaRep, orbit: LabeledPartition, *, seed: int = 0,
     if not orbit.valid_for(rep):
         raise ValueError(f"partition {orbit} does not belong to {rep}")
     return _verdicts(rep, [(orbit, [orbit])], seed=seed, certify_all=force_certify,
-                     max_terms=max_terms, max_certifications=None,
-                     cert_timeout=cert_timeout)[0]
+                     max_terms=max_terms, cert_timeout=cert_timeout)[0]
 
 
 def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledPartition]]],
               *, seed: int, certify_all: bool, max_terms: int,
-              max_certifications: int | None,
               cert_timeout: float | None) -> tuple[OrbitVerdict, ...]:
     """The verdicts of the members of ``classes``, in canonical order.
 
@@ -141,8 +140,7 @@ def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledP
     matrices = [build_action_matrix(build_centralizer(orbit, rep.m)) for orbit, _ in classes]
     results = prove_indices([(matrix, rank) for matrix in matrices], seed=seed,
                             certify_all=certify_all, max_terms=max_terms,
-                            cert_timeout=cert_timeout, max_certifications=max_certifications,
-                            rank=slice_rank)
+                            cert_timeout=cert_timeout, rank=slice_rank)
     verdicts = [
         OrbitVerdict(orbit=member, computed_as=orbit, dim_stabilizer=matrix.rows,
                      index_result=result,
@@ -155,7 +153,6 @@ def _verdicts(rep: ThetaRep, classes: list[tuple[LabeledPartition, list[LabeledP
 
 def check_rep(rep: ThetaRep, *, seed: int = 0, certify_all: bool = False,
               max_terms: int = DEFAULT_TERM_LIMIT,
-              max_certifications: int | None = None,
               cert_timeout: float | None = None) -> GibReport:
     """Verdict for a grading: the per-orbit procedure over all its orbits.
 
@@ -164,16 +161,13 @@ def check_rep(rep: ThetaRep, *, seed: int = 0, certify_all: bool = False,
     each class in canonical order is its representative, and every verdict
     names the representative it reuses as ``computed_as``.  The
     representatives' indices are proven by ``prove_indices``, which takes
-    ``certify_all`` and ``max_certifications`` as they are: the cap counts
-    certification *attempts*, a run that exceeds ``max_terms`` or
-    ``cert_timeout`` seconds included.  Without a cap every suspicious
-    class is resolved, which keeps the report seed-independent and the
-    bad-orbit list complete.
+    ``certify_all`` as it is.  Every suspicious class is certified, so the
+    report is seed-independent and its bad-orbit list complete unless a
+    certification exceeded ``max_terms`` or ``cert_timeout`` seconds.
     """
-    validate_budget(max_terms, cert_timeout, max_certifications)
-    verdicts = _verdicts(rep, dihedral_classes(rep), seed=seed,
-                         certify_all=certify_all, max_terms=max_terms,
-                         max_certifications=max_certifications, cert_timeout=cert_timeout)
+    validate_budget(max_terms, cert_timeout)
+    verdicts = _verdicts(rep, dihedral_classes(rep), seed=seed, certify_all=certify_all,
+                         max_terms=max_terms, cert_timeout=cert_timeout)
     bad = tuple(v.orbit for v in verdicts if v.gib is False)
     if bad:
         rep_gib: bool | None = False

@@ -68,15 +68,12 @@ class IndexResult:
 RankRoutine = Callable[[LinearFormMatrix, int, float | None], int]
 
 
-def validate_budget(max_terms: int, cert_timeout: float | None,
-                    max_certifications: int | None = None) -> None:
+def validate_budget(max_terms: int, cert_timeout: float | None) -> None:
     """Reject a certification budget that no run could keep to."""
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     if cert_timeout is not None and not cert_timeout >= 0:
         raise ValueError(f"cert_timeout must be >= 0, got {cert_timeout}")
-    if max_certifications is not None and max_certifications < 0:
-        raise ValueError(f"max_certifications must be >= 0, got {max_certifications}")
 
 
 def cheap_proof(matrix: LinearFormMatrix, target: int | None, seed: int = 0,
@@ -158,7 +155,7 @@ def certify(matrix: LinearFormMatrix, result: IndexResult, max_terms: int,
 
 def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
                   seed: int, certify_all: bool, max_terms: int,
-                  cert_timeout: float | None, max_certifications: int | None = None,
+                  cert_timeout: float | None,
                   rank: RankRoutine | None = None) -> list[IndexResult]:
     """The index of each (matrix, target) pair of ``problems``, in order.
 
@@ -167,19 +164,15 @@ def prove_indices(problems: Sequence[tuple[LinearFormMatrix, int | None]], *,
     ``certify`` with ``rank``, smallest reduced matrix first (the unreduced
     one after a bound match), ties in the given order, so the expensive
     eliminations run on the smallest matrices first; each gets its own
-    matrix, never its reduction.  Unless ``certify_all``, at most
-    ``max_certifications`` (None: no cap) are attempted, a run that blows
-    its budget included; a result past the cap keeps its cheaper proof or
-    stays ``UNDECIDED``.
+    matrix, never its reduction.  Every queued result is attempted: only
+    ``max_terms`` and ``cert_timeout`` bound each attempt.
     """
-    validate_budget(max_terms, cert_timeout, max_certifications)
+    validate_budget(max_terms, cert_timeout)
     proofs = [cheap_proof(matrix, target, seed) for matrix, target in problems]
     results = [result for result, _ in proofs]
     queue = sorted((i for i, result in enumerate(results)
                     if certify_all or result.decided_by == UNDECIDED),
                    key=lambda i: proofs[i][1])
-    if not certify_all and max_certifications is not None:
-        queue = queue[:max_certifications]
     for i in queue:
         results[i] = certify(problems[i][0], results[i], max_terms, cert_timeout, rank)
     return results
@@ -279,13 +272,15 @@ def index_of_matrix(matrix: LinearFormMatrix, *, target: int | None = None,
     ``declared`` is a claimed index and no premise: it neither stops the
     F_p elimination nor matches, but a result that ``cheap_proof`` leaves
     undecided is certified when either is given, and under ``force_certify``.
-    A bare matrix claims nothing to decide, so its undecided upper bound
-    is reported without a Bareiss run over all its indeterminates.
+    A bare matrix, with neither, claims nothing to decide: only
+    ``cheap_proof`` runs on it, so its undecided upper bound is reported
+    without a Bareiss run over all its indeterminates.
     """
-    bare = target is None and declared is None
+    if target is None and declared is None and not force_certify:
+        validate_budget(max_terms, cert_timeout)
+        return cheap_proof(matrix, None, seed)[0]
     return prove_indices([(matrix, target)], seed=seed, certify_all=force_certify,
-                         max_terms=max_terms, cert_timeout=cert_timeout,
-                         max_certifications=0 if bare else None)[0]
+                         max_terms=max_terms, cert_timeout=cert_timeout)[0]
 
 
 # ---------------------------------------------------------------------------

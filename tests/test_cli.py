@@ -314,6 +314,25 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--n", "1:2", "--m", "3", flag, value)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_sixteen_parts_of_sixteen_are_one_grading(self):
+        # every entry at least min_rank = 1: the enumeration must not walk
+        # the C(31, 15) vectors that hold a zero
+        assert sweep_reps(SweepSpec(16, 16, 16, 16)) == [ThetaRep(16, (1,) * 16)]
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("min_rank", [0, 1, 2])
+    def test_gradings_are_the_filtered_vectors(self, min_rank, dedup):
+        from itertools import product
+
+        from thetagib.theta_gl import rotations as rots
+
+        expected = {(m, min(rots(r)) if dedup else r)
+                    for m in range(2, 6) for r in product(range(8), repeat=m)
+                    if 1 <= sum(r) <= 7 and min(r) >= min_rank}
+        spec = SweepSpec(1, 7, 2, 5, min_rank=min_rank, dedup_cyclic=dedup)
+        assert sweep_reps(spec) == [ThetaRep(m, r) for m, r in
+                                    sorted(expected, key=lambda mr: (mr[0], sum(mr[1]), mr[1]))]
+
     def test_workers_never_outnumber_the_representatives(self, monkeypatch):
         # a forking executor starts all max_workers processes at its first
         # submit; m=3 n 3:4 has two dihedral classes, so two workers suffice
@@ -579,6 +598,18 @@ class TestIndexFileCommand:
                                "--format", "json")
         assert code == 2
         assert json.loads(out)["decided_by"] == "undecided"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-terms", "-1", "max_terms must be >= 0, got -1"),
+        ("--cert-timeout", "-5", "cert_timeout must be >= 0, got -5.0"),
+    ], ids=["max_terms", "cert_timeout"])
+    @pytest.mark.parametrize("extra", [{}, {"index_lower_bound": 1}], ids=["bare", "bound"])
+    def test_bad_budget_is_an_error_on_every_document(self, capsys, tmp_path, extra,
+                                                      flag, value, message):
+        # a bare document is never certified, but its budget is still checked
+        path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "brackets": [], **extra})
+        code, out, err = run_cli(capsys, "index-file", path, flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_denominator_multiple_of_evaluation_prime(self, capsys, tmp_path):
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 0,

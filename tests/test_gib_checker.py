@@ -8,6 +8,7 @@ from thetagib.gib_checker import (
     DECIDED_BY_BOUND_MATCH,
     DECIDED_BY_CERTIFIED_RANK,
     DECIDED_BY_REDUCED_SHAPE,
+    UNDECIDED,
 )
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
 from thetagib.theta_gl import dual_rep
@@ -173,18 +174,15 @@ class TestCheckRep:
         assert hard[0].gib is False
         assert report.rep_gib is False
 
-    def test_certification_cap_yields_undecided(self):
+    def test_term_budget_of_zero_yields_undecided(self):
         # with no symbolic budget, the orbit above must surface as undecided
         # rather than be mis-reported
-        report = check_rep(ThetaRep.of(3, 5), max_certifications=0)
-        assert [p.to_text() for p in report.undecided_orbits] == ["3^1 3^1 1^0 1^1"]
-        assert report.rep_gib is None
         report = check_rep(ThetaRep.of(3, 5), max_terms=0)
-        assert report.undecided_orbits
+        assert [p.to_text() for p in report.undecided_orbits] == ["3^1 3^1 1^0 1^1"]
         assert report.rep_gib is None
 
     def test_certification_time_limit_yields_undecided(self):
-        # as with the caps above: a certification given no time leaves the
+        # as with the term budget above: a certification given no time leaves the
         # orbit undecided instead of mis-reporting it
         report = check_rep(ThetaRep.of(3, 5), cert_timeout=0)
         assert [p.to_text() for p in report.undecided_orbits] == ["3^1 3^1 1^0 1^1"]
@@ -196,8 +194,9 @@ class TestCheckRep:
         with pytest.raises(ValueError):
             check_rep(ThetaRep.of(2, 3, 1), **budget)
 
-    def test_certification_cap_counts_attempts(self, monkeypatch):
-        # a run that exceeds max_terms uses up the budget like a finished one
+    def test_every_queued_class_is_attempted_a_blown_one_too(self, monkeypatch):
+        # a run that exceeds max_terms does not stop the queue: each class
+        # the cheap pass leaves undecided gets its own attempt
         import thetagib.index_engine as ie
 
         calls = []
@@ -208,15 +207,9 @@ class TestCheckRep:
 
         certify = ie.certified_rank
         monkeypatch.setattr(ie, "certified_rank", counted)
-        report = check_rep(ThetaRep.of(3, 3, 3, 1), max_terms=0, max_certifications=1)
-        assert len(calls) == 1
-        assert report.undecided_orbits
-
-    def test_negative_certification_cap_is_rejected(self):
-        # read as a slice, -1 would certify one of the two queued classes
-        # and leave the other undecided
-        with pytest.raises(ValueError, match="max_certifications must be >= 0, got -1"):
-            check_rep(ThetaRep.of(3, 3, 3, 1), max_certifications=-1)
+        report = check_rep(ThetaRep.of(3, 3, 3, 1), max_terms=0)
+        undecided = {v.computed_as for v in report.verdicts if v.decided_by == UNDECIDED}
+        assert len(calls) == len(undecided) == 2
 
     def test_certify_all_certifies_every_orbit(self):
         # each shift class is certified on a transversal slice; over all s

@@ -8,9 +8,10 @@ with ``python tests/test_golden_verdicts.py`` only when an answer is meant
 to change.
 
 ``golden_verdicts_beyond.json`` pins, in the same format, the gradings of
-m=3 n 11..13, m=4 n 9..12, m=5 n 5..10 and m=6 n 6..9.  Checking them here
+m=3 n 11..15, m=4 n 9..12, m=5 n 5..10 and m=6 n 6..9.  Checking them here
 would take as long as a sweep, so the tests only read it; CI regenerates it
-with ``python tests/test_golden_verdicts.py beyond`` and diffs the result.
+with ``python tests/test_golden_verdicts.py beyond`` (about a minute, with
+``cert_timeout=60``) and diffs the result.
 Neither file is written while any orbit of a grading is undecided.
 """
 
@@ -24,7 +25,7 @@ from thetagib import ThetaRep, check_rep, predicted_gib
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
 BEYOND = Path(__file__).with_name("golden_verdicts_beyond.json")
 #: (m, n_min, n_max) of each range in ``BEYOND``.
-BEYOND_RANGES = [(3, 11, 13), (4, 9, 12), (5, 5, 10), (6, 6, 9)]
+BEYOND_RANGES = [(3, 11, 15), (4, 9, 12), (5, 5, 10), (6, 6, 9)]
 
 
 def golden_reps():
@@ -74,7 +75,7 @@ def test_check_rep_matches_golden_verdicts():
 def test_beyond_file_covers_its_ranges():
     beyond = load_golden(BEYOND)
     assert [tuple(g["r"]) for g in beyond] == [rep.r for rep in beyond_reps()]
-    assert [sum(len(g["r"]) == m for g in beyond) for m in (3, 4, 5, 6)] == [56, 109, 52, 16]
+    assert [sum(len(g["r"]) == m for g in beyond) for m in (3, 4, 5, 6)] == [113, 109, 52, 16]
 
 
 def test_beyond_file_agrees_with_the_predictions():

@@ -359,22 +359,14 @@ class TestProveIndices:
         assert [next(i for i, (m, _) in enumerate(problems) if m.cells is cells)
                 for _, _, cells in seen] == [2, 0, 1, 3]
 
-    def test_cap_counts_attempts_a_blown_budget_included(self, monkeypatch):
+    def test_every_queued_problem_is_attempted_a_blown_one_too(self, monkeypatch):
         problems = [_queue_problems()[i] for i in (0, 3)]
         seen = self.record(monkeypatch)
-        for cap in (0, 1, 2):
-            seen.clear()
-            results = self.prove(problems, max_terms=0, max_certifications=cap)
-            assert len(seen) == cap
-            assert [r.decided_by for r in results] == [UNDECIDED, UNDECIDED]
-        seen.clear()
-        results = self.prove(problems, max_certifications=1)
-        assert len(seen) == 1
-        assert [r.decided_by for r in results] == [DECIDED_BY_CERTIFIED_RANK, UNDECIDED]
+        results = self.prove(problems, max_terms=0)
+        assert len(seen) == 2
+        assert [r.decided_by for r in results] == [UNDECIDED, UNDECIDED]
 
-    def test_negative_cap_is_rejected_before_the_cheap_pass(self, monkeypatch):
-        # read as a slice, -1 would certify two of three bare skew forms
-        # and leave the third undecided
+    def test_bad_budget_is_rejected_before_the_cheap_pass(self, monkeypatch):
         import thetagib.index_engine as ie
 
         def unreachable(*a, **k):
@@ -382,15 +374,10 @@ class TestProveIndices:
 
         monkeypatch.setattr(ie, "probabilistic_rank", unreachable)
         skew = _queue_problems()[0]
-        for cap in (-1, -2):
-            with pytest.raises(ValueError, match=f"max_certifications must be >= 0, got {cap}"):
-                self.prove([skew] * 3, max_certifications=cap)
-
-    def test_certify_all_ignores_the_cap(self, monkeypatch):
-        seen = self.record(monkeypatch)
-        results = self.prove(_queue_problems(), certify_all=True, max_certifications=0)
-        assert len(seen) == 4
-        assert all(r.decided_by == DECIDED_BY_CERTIFIED_RANK for r in results)
+        for budget, message in [({"max_terms": -1}, "max_terms must be >= 0, got -1"),
+                                ({"cert_timeout": -5}, "cert_timeout must be >= 0, got -5")]:
+            with pytest.raises(ValueError, match=message):
+                self.prove([skew] * 3, **budget)
 
 
 class TestGenericDocuments:
