@@ -68,6 +68,8 @@ class SweepSpec:
             raise ValueError("need 1 <= n_min <= n_max")
         if self.m_min < 2 or self.m_min > self.m_max:
             raise ValueError("need 2 <= m_min <= m_max")
+        if self.min_rank < 0:
+            raise ValueError("need min_rank >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def sweep_reps(spec: SweepSpec) -> list[ThetaRep]:
     for m in range(spec.m_min, spec.m_max + 1):
         for n in range(spec.n_min, spec.n_max + 1):
             seen = set()
-            for r in _compositions(n, m, max(spec.min_rank, 0)):
+            for r in _compositions(n, m, spec.min_rank):
                 key = min(rotations(r)) if spec.dedup_cyclic else r
                 if key in seen:
                     continue

@@ -16,6 +16,7 @@ raw structure constants; both reduce to the same rank machinery.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from math import gcd, lcm
@@ -312,6 +313,50 @@ def _require_int(doc: dict, key: str) -> int:
     return v
 
 
+def _checked_bracket(pos: int, item, dim_q: int, dim_v: int) -> list[int]:
+    """The bracket ``item`` as five ints, else the error for its first defect."""
+    where = f"brackets[{pos}]"
+    if not isinstance(item, list) or len(item) != 5:
+        raise GenericActionError(f"{where}: expected [i, j, k, num, den]")
+    for name, v in zip(("i", "j", "k", "num", "den"), item):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise GenericActionError(f"{where}: {name} must be an integer")
+    i, j, k, num, den = item
+    if not 0 <= i < dim_q:
+        raise GenericActionError(f"{where}: i={i} out of range (dim_q={dim_q})")
+    if not (0 <= j < dim_v and 0 <= k < dim_v):
+        raise GenericActionError(f"{where}: j={j}, k={k} out of range (dim_v={dim_v})")
+    if den == 0:
+        raise GenericActionError(f"{where}: zero denominator")
+    return [int(v) for v in item]
+
+
+def _primitive_row(brackets: list[list[int]]) -> dict[int, dict[int, int]]:
+    """The cells of one row's brackets, cleared of denominators and primitive.
+
+    Each coefficient is num * (L // den) // g for the lcm L of the row's
+    denominators and the gcd g of the scaled values.  A row that repeats
+    an (i, j, k) or has a zero numerator accumulates first and keeps only
+    the coefficients that do not cancel; it may come out empty.
+    """
+    scale = lcm(*{b[4] for b in brackets})
+    values = [b[3] * (scale // b[4]) for b in brackets]
+    if 0 not in values:
+        content = gcd(*values)
+        row: dict[int, dict[int, int]] = {}
+        for (_, j, k, _, _), v in zip(brackets, values):
+            row.setdefault(j, {})[k] = v // content
+        if sum(map(len, row.values())) == len(brackets):
+            return row
+    sums: dict[int, dict[int, int]] = {}
+    for (_, j, k, _, _), v in zip(brackets, values):
+        form = sums.setdefault(j, {})
+        form[k] = form.get(k, 0) + v
+    row = {j: kept for j, form in sums.items() if (kept := {k: c for k, c in form.items() if c})}
+    content = gcd(*(c for form in row.values() for c in form.values()))
+    return {j: {k: c // content for k, c in form.items()} for j, form in row.items()}
+
+
 def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int | None]:
     """Validate a structure-constant document.
 
@@ -321,15 +366,24 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
     as proven, as ``export_action`` proves it: ``index_of_matrix`` uses it
     as its ``target``.  It must be an integer from 0 to ``dim_v``.
 
+    A bracket of five plain ints in range with a nonzero denominator costs
+    one type test per field and its range tests.  Any other bracket goes
+    through the full checks, in order: a list of five, each field an
+    integer and no bool (an ``int`` subclass such as an ``IntEnum`` is
+    accepted), i, then j and k in range, a nonzero denominator.  The first
+    bracket that fails them raises ``GenericActionError`` naming its
+    position, as in ``brackets[3]: den must be an integer``.
+
     The matrix holds only what the document states, as neither a zero row
     nor an unused indeterminate changes the generic rank: the actions x_i
     with a nonzero cell, in order of i, on ``dim_v`` columns, in the u
-    indeterminates that occur, renumbered 0..u-1 in increasing order.
-    Row scaling keeps the rank too, so each row is primitive in integers:
-    its coefficients times the lcm of its brackets' denominators, divided
-    by their gcd.  Repeated (i, j, k) brackets accumulate first, and a
-    coefficient that cancels is not stored.  Ints only: a row whose content
-    is a multiple of the evaluation prime keeps its F_p rank.
+    indeterminates that occur, renumbered 0..u-1 in increasing order (a
+    no-op when they already are 0..u-1).  Row scaling keeps the rank too,
+    so each row is primitive in integers: its coefficients times the lcm
+    of its brackets' denominators, divided by their gcd.  A row that
+    repeats an (i, j, k) or has a zero numerator accumulates its brackets
+    first and does not store a coefficient that cancels.  Ints only: a row
+    whose content is a multiple of the evaluation prime keeps its F_p rank.
     """
     if not isinstance(doc, dict):
         raise GenericActionError("document must be a JSON object")
@@ -338,36 +392,26 @@ def parse_action_document(doc: dict) -> tuple[LinearFormMatrix, int | None, int 
     brackets = doc.get("brackets", [])
     if not isinstance(brackets, list):
         raise GenericActionError("field 'brackets' must be a list")
-    row_lcm: dict[int, int] = {}
+    by_row: defaultdict[int, list[list[int]]] = defaultdict(list)
     for pos, item in enumerate(brackets):
-        where = f"brackets[{pos}]"
-        if not isinstance(item, list) or len(item) != 5:
-            raise GenericActionError(f"{where}: expected [i, j, k, num, den]")
-        i, j, k, num, den = item
-        for name, v in (("i", i), ("j", j), ("k", k), ("num", num), ("den", den)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise GenericActionError(f"{where}: {name} must be an integer")
-        if not 0 <= i < dim_q:
-            raise GenericActionError(f"{where}: i={i} out of range (dim_q={dim_q})")
-        if not (0 <= j < dim_v and 0 <= k < dim_v):
-            raise GenericActionError(f"{where}: j={j}, k={k} out of range (dim_v={dim_v})")
-        if den == 0:
-            raise GenericActionError(f"{where}: zero denominator")
-        row_lcm[i] = lcm(row_lcm.get(i, 1), den)
-    rows: dict[int, dict[int, dict[int, int]]] = {i: {} for i in row_lcm}
-    for i, j, k, num, den in brackets:
-        entry = rows[i].setdefault(j, {})
-        entry[k] = entry.get(k, 0) + num * (row_lcm[i] // den)
-    stated = []  # (row, content) for each row with a nonzero cell
-    for i in sorted(rows):
-        row = {j: kept for j, entry in rows[i].items()
-               if (kept := {k: c for k, c in entry.items() if c})}
-        if row:
-            stated.append((row, gcd(*(c for entry in row.values() for c in entry.values()))))
-    used = {k: t for t, k in enumerate(sorted({k for row, _ in stated
-                                                for entry in row.values() for k in entry}))}
-    cells = [{j: {used[k]: c // content for k, c in entry.items()} for j, entry in row.items()}
-             for row, content in stated]
+        if type(item) is list and len(item) == 5:
+            i, j, k, num, den = item
+            if (type(i) is type(j) is type(k) is type(num) is type(den) is int
+                    and 0 <= i < dim_q and 0 <= j < dim_v and 0 <= k < dim_v and den):
+                by_row[i].append(item)
+                continue
+        item = _checked_bracket(pos, item, dim_q, dim_v)
+        by_row[item[0]].append(item)
+    cells = []
+    used: set[int] = set()
+    for i in sorted(by_row):
+        if row := _primitive_row(by_row[i]):
+            cells.append(row)
+            used.update(*row.values())
+    if used and max(used) != len(used) - 1:
+        new = {k: t for t, k in enumerate(sorted(used))}
+        cells = [{j: {new[k]: c for k, c in form.items()} for j, form in row.items()}
+                 for row in cells]
     declared = _require_int(doc, "rank") if "rank" in doc else None
     bound = None
     if "index_lower_bound" in doc:

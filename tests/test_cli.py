@@ -333,6 +333,11 @@ class TestSweepCommand:
         assert sweep_reps(spec) == [ThetaRep(m, r) for m, r in
                                     sorted(expected, key=lambda mr: (mr[0], sum(mr[1]), mr[1]))]
 
+    def test_negative_min_rank_is_rejected(self):
+        # like a bad n or m range, not read as min_rank = 0
+        with pytest.raises(ValueError, match="need min_rank >= 0"):
+            SweepSpec(3, 3, 3, 3, min_rank=-1)
+
     def test_workers_never_outnumber_the_representatives(self, monkeypatch):
         # a forking executor starts all max_workers processes at its first
         # submit; m=3 n 3:4 has two dihedral classes, so two workers suffice

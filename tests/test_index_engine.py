@@ -2,6 +2,7 @@
 
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd
 
@@ -47,6 +48,34 @@ from thetagib.index_engine import (
     transversal_slice,
 )
 from thetagib.orbits import all_nilpotent_orbits, zero_orbit
+
+
+def _late_defects():
+    """(bracket, message) pairs for one bad bracket in a 2 x 2 document."""
+    valid = [1, 1, 0, -3, 4]
+    cases = [(tuple(valid), "expected [i, j, k, num, den]"),
+             (valid[:4], "expected [i, j, k, num, den]"),
+             (valid + [1], "expected [i, j, k, num, den]"),
+             ("01234", "expected [i, j, k, num, den]")]
+    for pos, name in enumerate(("i", "j", "k", "num", "den")):
+        for bad in (True, False, 1.0, "1", None):
+            item = list(valid)
+            item[pos] = bad
+            cases.append((item, f"{name} must be an integer"))
+    return cases + [
+        ([2, 0, 0, 1, 1], "i=2 out of range (dim_q=2)"),
+        ([-1, 0, 0, 1, 1], "i=-1 out of range (dim_q=2)"),
+        ([0, 2, 0, 1, 1], "j=2, k=0 out of range (dim_v=2)"),
+        ([0, 0, 2, 1, 1], "j=0, k=2 out of range (dim_v=2)"),
+        ([0, -1, 0, 1, 1], "j=-1, k=0 out of range (dim_v=2)"),
+        ([0, 0, 0, 1, 0], "zero denominator"),
+        ([0, 0, 0, 0, 0], "zero denominator"),
+        # within one bracket the checks keep their order
+        ([0, 0, 0, 1.5, 0], "num must be an integer"),
+        ([0, True, 0, 1, 0], "j must be an integer"),
+        ([5, 5, 5, 1, 0], "i=5 out of range (dim_q=2)"),
+        ([0, 5, 0, 1, 0], "j=5, k=0 out of range (dim_v=2)"),
+    ]
 
 
 class TestBuildActionMatrix:
@@ -605,6 +634,84 @@ class TestGenericDocuments:
         with pytest.raises(GenericActionError) as err:
             parse_action_document(doc)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("bad, message", _late_defects())
+    def test_a_late_defect_is_reported_whole(self, bad, message):
+        # the valid brackets around it pass the one type test per field,
+        # so the defect alone goes through the full checks
+        doc = {"dim_q": 2, "dim_v": 2,
+               "brackets": [[0, 1, 1, 2, 3], bad, [1, 0, 1, 1, 1]]}
+        with pytest.raises(GenericActionError) as err:
+            parse_action_document(doc)
+        assert str(err.value) == f"brackets[1]: {message}"
+
+    @pytest.mark.parametrize("brackets, message", [
+        ([[0, 0, 0, 1, 1], [0, 0, 0, 1, 0], [0, 0, 0, "1", 1]],
+         "brackets[1]: zero denominator"),
+        ([[0, 0, 0, 1, 1], [0, 0, 0, "1", 1], [0, 0, 0, 1, 0]],
+         "brackets[1]: num must be an integer"),
+        ([[0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [9, 0, 0, 1, 1], [0, 0, 9, 1, 1]],
+         "brackets[2]: i=9 out of range (dim_q=1)"),
+    ])
+    def test_the_first_bad_bracket_is_reported(self, brackets, message):
+        with pytest.raises(GenericActionError) as err:
+            parse_action_document({"dim_q": 1, "dim_v": 1, "brackets": brackets})
+        assert str(err.value) == message
+
+    def test_int_enum_fields_parse_as_their_values(self):
+        # an int subclass passes the full checks, as an isinstance test lets it
+        Idx = IntEnum("Idx", [("ZERO", 0), ("ONE", 1), ("TWO", 2), ("THREE", 3)])
+        plain = {"dim_q": 2, "dim_v": 3,
+                 "brackets": [[0, 2, 1, 2, 3], [1, 0, 2, -1, 2], [0, 1, 2, 1, 1]]}
+        enum = dict(plain, brackets=[[Idx(0), Idx(2), Idx(1), Idx(2), Idx(3)],
+                                     [1, 0, 2, -1, 2],
+                                     [Idx(0), 1, Idx(2), 1, Idx(1)]])
+        mat, _, _ = parse_action_document(enum)
+        ref, _, _ = parse_action_document(plain)
+        assert (mat.cells, mat.num_indeterminates, mat.cols) == (
+            ref.cells, ref.num_indeterminates, ref.cols)
+        assert ref.cells == ({2: {0: 2}, 1: {1: 3}}, {0: {1: -1}})
+        assert all(type(j) is type(k) is type(c) is int
+                   for row in mat.cells for j, e in row.items() for k, c in e.items())
+
+    def test_random_documents_match_fraction_oracle(self):
+        # repeated (i, j, k), zero numerators, negative denominators, rows
+        # that cancel completely, unused indeterminates and shuffled order;
+        # assert_primitive_multiple also checks that num_indeterminates
+        # counts exactly the indeterminates that keep a coefficient
+        rng = random.Random(2024)
+        seen = {"repeat": 0, "zero": 0, "negative": 0, "cancelled": 0,
+                "renumbered": 0, "plain": 0}
+        for _ in range(400):
+            dim_q, dim_v = rng.randint(1, 5), rng.randint(1, 6)
+            brackets = []
+            for _ in range(rng.randint(0, 14)):
+                item = [rng.randrange(dim_q), rng.randrange(dim_v), rng.randrange(dim_v),
+                        rng.choice((0, 1, -1, 2, -3, 5, 12)),
+                        rng.choice((1, 1, 2, -2, 3, -6, 7))]
+                brackets.append(item)
+                if rng.random() < 0.2:  # cancel it again
+                    brackets.append(item[:3] + [-item[3], item[4]])
+                if rng.random() < 0.1:  # repeat it
+                    brackets.append(list(item))
+            if brackets and rng.random() < 0.15:  # a row that cancels completely
+                i = brackets[0][0]
+                brackets += [b[:3] + [-b[3], b[4]] for b in brackets if b[0] == i]
+            rng.shuffle(brackets)
+            doc = {"dim_q": dim_q, "dim_v": dim_v, "brackets": brackets}
+            oracle = fraction_parse(doc)
+            mat, _, _ = parse_action_document(doc)
+            self.assert_primitive_multiple(mat, oracle)
+            cells = [tuple(b[:3]) for b in brackets]
+            used = {k for ref in oracle for e in ref for k in e}
+            seen["repeat"] += len(set(cells)) < len(cells)
+            seen["zero"] += any(b[3] == 0 for b in brackets)
+            seen["negative"] += any(b[4] < 0 for b in brackets)
+            seen["cancelled"] += len({b[0] for b in brackets}) > len(
+                [ref for ref in oracle if any(ref)])
+            seen["renumbered"] += used != set(range(len(used)))
+            seen["plain"] += len(set(cells)) == len(cells) and all(b[3] for b in brackets)
+        assert min(seen.values()) >= 20, seen
 
     def test_one_bracket_in_a_large_document(self):
         # the matrix and every rank layer pay for the one stored form, not
