@@ -20,7 +20,7 @@ structure constants of that action feed the index computation.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .orbits import LabeledPartition
 
@@ -43,7 +43,12 @@ class XiElement(NamedTuple):
 
 
 class GradedCentralizer:
-    """Centralizer basis of a labeled partition, bucketed by degree mod m."""
+    """Centralizer basis of a labeled partition, bucketed by degree mod m.
+
+    ``by_degree[g]`` lists the xi_i^{j,s} of degree g in order of (i, j, s).
+    The build visits each (i, j) once and steps its degree up by one per s,
+    wrapping at m, so no element costs a ``% m`` or ``XiElement.__new__``.
+    """
 
     __slots__ = ("partition", "m", "lengths", "labels", "by_degree")
 
@@ -55,15 +60,17 @@ class GradedCentralizer:
         self.lengths = tuple(l for l, _ in partition.blocks)
         self.labels = tuple(t for _, t in partition.blocks)
         buckets: list[list[XiElement]] = [[] for _ in range(m)]
-        k = len(self.lengths)
-        d = [l - 1 for l in self.lengths]
-        t = self.labels
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                lo = max(d[j - 1] - d[i - 1], 0)
-                for s in range(lo, d[j - 1] + 1):
-                    deg = (s + t[j - 1] - t[i - 1]) % m
-                    buckets[deg].append(XiElement(i, j, s))
+        new = tuple.__new__
+        blocks = tuple(enumerate(partition.blocks, 1))
+        for i, (li, ti) in blocks:
+            for j, (lj, tj) in blocks:
+                lo = lj - li if lj > li else 0
+                deg = (lo + tj - ti) % m
+                for s in range(lo, lj):
+                    buckets[deg].append(new(XiElement, (i, j, s)))
+                    deg += 1
+                    if deg == m:
+                        deg = 0
         self.by_degree = tuple(tuple(b) for b in buckets)
 
     @property
@@ -86,8 +93,11 @@ class GradedCentralizer:
         and a zero bracket or coefficient has no key.  By the commutator rule,
         [x, v] = delta(v.j, x.i) xi_(v.i)^(x.j, x.s+v.s)
         - delta(x.j, v.i) xi_(x.i)^(v.j, x.s+v.s), so only the v with
-        v.j == x.i or v.i == x.j are visited.  Grading forces every bracket
-        back into degree m-1; anything else is a bug, not an input error.
+        v.j == x.i or v.i == x.j are visited.  Each v meets each term at most
+        once, so a row takes one pass: a + term writes its cell as {k: 1},
+        and a - term then joins that cell or, at the same k, deletes it.
+        Grading forces every bracket back into degree m-1; anything else is
+        a bug, not an input error.
         """
         acting = self.by_degree[0]
         module = self.by_degree[self.m - 1]
@@ -100,28 +110,35 @@ class GradedCentralizer:
             by_i.setdefault(vi, []).append((k, vj, vs))
         rows: list[dict[int, dict[int, int]]] = []
         for row, (xi, xj, xs) in enumerate(acting):
-            # (column, z.i, z.j, z.s, sign) of each term, the + term of the rule first
-            terms = [(j, vi, xj, xs + vs, 1) for j, vi, vs in by_j.get(xi, ())]
-            terms += [(j, xi, vj, xs + vs, -1) for j, vj, vs in by_i.get(xj, ())]
             cells: dict[int, dict[int, int]] = {}
-            for j, zi, zj, s, sign in terms:
-                k = col.get((zi, zj, s))
+            for j, vi, vs in by_j.get(xi, ()):
+                k = col.get((vi, xj, xs + vs))
+                if k is not None:
+                    cells[j] = {k: 1}
+                elif self.in_range(vi, xj, xs + vs):
+                    self._grading_violation(acting[row], module[j], vi, xj, xs + vs)
+            for j, vj, vs in by_i.get(xj, ()):
+                k = col.get((xi, vj, xs + vs))
                 if k is None:
-                    if not self.in_range(zi, zj, s):
-                        continue  # an out-of-range symbol is zero
-                    z = XiElement(zi, zj, s)
-                    raise RuntimeError(
-                        f"grading violation: [{acting[row]}, {module[j]}] contains {z} "
-                        f"of degree {self.degree(z)}"
-                    )
-                entry = cells.setdefault(j, {})
-                c = entry.get(k, 0) + sign
-                if c:
-                    entry[k] = c
+                    if self.in_range(xi, vj, xs + vs):
+                        self._grading_violation(acting[row], module[j], xi, vj, xs + vs)
+                    continue  # an out-of-range symbol is zero
+                entry = cells.get(j)
+                if entry is None:
+                    cells[j] = {k: -1}
+                elif k in entry:
+                    del cells[j]  # [x, v] = z - z
                 else:
-                    del entry[k]
-            rows.append({j: entry for j, entry in cells.items() if entry})
+                    entry[k] = -1
+            rows.append(cells)
         return rows
+
+    def _grading_violation(self, x: XiElement, v: XiElement, i: int, j: int,
+                           s: int) -> NoReturn:
+        """[x, v] has the in-range term xi_i^{j,s}, which the module lacks."""
+        z = XiElement(i, j, s)
+        raise RuntimeError(f"grading violation: [{x}, {v}] contains {z} "
+                           f"of degree {self.degree(z)}")
 
 
 def build_centralizer(partition: LabeledPartition, m: int) -> GradedCentralizer:

@@ -12,7 +12,11 @@ data clears each row's denominators.  Three routines bracket it:
 * ``probabilistic_rank``: evaluate at a random point of a large prime field.
   The result is a lower bound for the generic rank and equals it with
   overwhelming probability (Schwartz-Zippel: a nonzero minor of degree d
-  vanishes at a uniform point with probability at most d/p).
+  vanishes at a uniform point with probability at most d/p).  p is the
+  largest prime below 2**30, so every residue is one 30-bit CPython digit.
+  The points of one seed are prefixes of one stream: coordinate t is the
+  t-th 30-bit draw of ``random.Random(seed)`` that is below p, so one
+  stream per seed serves every matrix.
 * ``ground_field_reduce``: shrink the matrix without changing its generic
   rank by replacing rows (then columns) with a Q-basis of their span, the
   rows being read as vectors of coefficient tuples over Q.
@@ -42,24 +46,29 @@ division and no clock read.  Any pivot order gives the exact rank.
 
 Matrices share their rows and forms, and no routine modifies a row, a form
 or a matrix; every routine here is pure, so independent rank computations can
-run in parallel without shared state.
+run in parallel.  The one state they share is the memo of point streams,
+which is extended under a lock, so each stream stays the same sequence.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
 from time import monotonic
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 #: The F_p rank runs in pure Python; the name stays because the benchmark
 #: worker records it with each run.
 USING_COMPILED_KERNEL = False
 
-#: Evaluation field for randomized rank: the prime p = 2**31 - 1, at which a
-#: nonzero minor of degree d vanishes at a random point with probability <= d/p.
-EVAL_PRIME = 2147483647
+#: Evaluation field for randomized rank: p = 2**30 - 35, the largest prime
+#: below 2**30, at which a nonzero minor of degree d vanishes at a random point
+#: with probability <= d/p.  Every residue is one 30-bit CPython digit, so a
+#: product of two has at most two digits and ``% p`` divides by one digit.
+EVAL_PRIME = 1073741789
 
 #: Abort certified elimination once any intermediate polynomial carries more
 #: terms than this; the caller then reports "undecided" instead of guessing.
@@ -199,6 +208,18 @@ def rank_at_point_mod(M: LinearFormMatrix, point: Sequence[int],
     return len(pivot_columns_mod(M, point, ceiling))
 
 
+@lru_cache(maxsize=64)
+def _point_stream(rng: type, seed: int) -> tuple[list[int], threading.Lock,
+                                                Callable[[int], int]]:
+    """The coordinates drawn so far from ``rng(seed)``, the lock that extends
+    them, and its ``getrandbits``.
+
+    Keyed by the generator class too, so a stream is never shared with
+    another generator.  A stream that is evicted is drawn again, the same.
+    """
+    return [], threading.Lock(), rng(seed).getrandbits
+
+
 def probabilistic_rank(M: LinearFormMatrix, *, seed: int = 0,
                        ceiling: int | None = None) -> int:
     """Rank of M over F_p at one random point, drawn from ``seed``.
@@ -209,16 +230,26 @@ def probabilistic_rank(M: LinearFormMatrix, *, seed: int = 0,
     generic rank that only a caller with a proof may pass (see
     ``pivot_columns_mod``).  No point rank exceeds the generic rank, so a
     true ceiling changes no result; at ceiling 0 no point is drawn.
+
+    Coordinate t of the point is the t-th ``getrandbits(30)`` draw of
+    ``random.Random(seed)`` that is below p: a draw outside F_p is skipped
+    where it falls, so each coordinate stays uniform on F_p, and the point
+    in s coordinates is the prefix of every longer point of the same seed.
+    So one stream per seed serves every matrix, and is drawn only as far
+    as the most indeterminates asked of it.
     """
     if _rank_limit(M, ceiling) == 0:
         return 0
-    bits = random.Random(seed).getrandbits
-    width = EVAL_PRIME.bit_length()
-    point = [bits(width) for _ in range(M.num_indeterminates)]
-    # redraw what falls outside F_p, so each coordinate stays uniform on it
-    while point and max(point) >= EVAL_PRIME:
-        point = [x if x < EVAL_PRIME else bits(width) for x in point]
-    return rank_at_point_mod(M, point, ceiling)
+    s = M.num_indeterminates
+    coords, lock, bits = _point_stream(random.Random, seed)
+    if len(coords) < s:
+        width = EVAL_PRIME.bit_length()
+        with lock:
+            while len(coords) < s:
+                x = bits(width)
+                if x < EVAL_PRIME:
+                    coords.append(x)
+    return rank_at_point_mod(M, coords[:s], ceiling)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ def cached_check_rep(r: tuple, seed: int = 0, certify_all: bool = False):
     return check_rep(ThetaRep.of(*r), seed=seed, certify_all=certify_all)
 
 
+#: The gradings of the benchmark sweep, m=3 n 3-10 and m=4 n 4-8, as vectors.
+SWEEP_GRADINGS = [rep.r for spec in (SweepSpec(3, 10, 3, 3), SweepSpec(4, 8, 4, 4))
+                  for rep in sweep_reps(spec)]
+
+
 def positive_rank_reps(n_max: int, m_max: int, n_min: int = 2, m_min: int = 2):
     """Cyclically normalized vectors with min(r) >= 1 in the given box."""
     return sweep_reps(SweepSpec(n_min=n_min, n_max=n_max,
@@ -160,6 +165,26 @@ def brute_force_graded_dims(rep: ThetaRep):
 
 # ---------------------------------------------------------------------------
 # Explicit matrix model of the centralizer basis.
+
+
+def per_element_by_degree(cent: GradedCentralizer):
+    """``by_degree`` of ``cent`` rebuilt one element at a time.
+
+    Each xi_i^{j,s} is made by ``XiElement(i, j, s)`` and put in the bucket
+    of its degree (s + t(j) - t(i)) % m, in order of (i, j, s).
+    """
+    m = cent.m
+    buckets = [[] for _ in range(m)]
+    k = len(cent.lengths)
+    d = [l - 1 for l in cent.lengths]
+    t = cent.labels
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            lo = max(d[j - 1] - d[i - 1], 0)
+            for s in range(lo, d[j - 1] + 1):
+                deg = (s + t[j - 1] - t[i - 1]) % m
+                buckets[deg].append(XiElement(i, j, s))
+    return tuple(tuple(b) for b in buckets)
 
 
 def ambient_cells(cent: GradedCentralizer):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import bracket, cell_exponents, dense_action_structure_constants, xi_matrix
+from helpers import (
+    SWEEP_GRADINGS,
+    bracket,
+    cell_exponents,
+    dense_action_structure_constants,
+    per_element_by_degree,
+    xi_matrix,
+)
 from thetagib import (
     LabeledPartition,
     ThetaRep,
@@ -19,6 +26,8 @@ def xi(i, j, s):
 
 NILP_EX = LabeledPartition(((5, 0), (3, 1), (1, 2)))   # r=(3,3,3)
 EX_332 = LabeledPartition(((5, 0), (3, 1)))            # r=(3,3,2)
+#: the gradings of the cheap-pass benchmarks: (4,4,4), (3,3,3,3) and the sweep
+CHEAP_PASS_GRADINGS = [(4, 4, 4), (3, 3, 3, 3), *SWEEP_GRADINGS]
 
 
 class TestBuild:
@@ -72,6 +81,14 @@ class TestBuild:
             expected = sum(min(a, b) - 1 + 1 for a in lengths for b in lengths)
             # min(d_i, d_j) + 1 = min(l_i, l_j) - 1 + 1
             assert cent.dim == expected
+
+    @pytest.mark.parametrize("r", CHEAP_PASS_GRADINGS, ids=str)
+    def test_build_equals_the_per_element_loop(self, r):
+        rep = ThetaRep.of(*r)
+        for part in all_nilpotent_orbits(rep):
+            cent = build_centralizer(part, rep.m)
+            assert cent.by_degree == per_element_by_degree(cent), part
+            assert all(type(x) is XiElement for b in cent.by_degree for x in b)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -141,7 +158,8 @@ class TestActionStructureConstants:
                         {0: {0: 1}, 1: {1: -1}}]
 
     @pytest.mark.parametrize("r", [(3, 3, 3), (4, 4, 4), (3, 3, 3, 3), (2, 3, 1, 2),
-                                   (1, 2, 2, 2, 1, 0)])
+                                   (1, 2, 2, 2, 1, 0)]
+                             + [r for r in SWEEP_GRADINGS if r != (3, 3, 3)])
     def test_sparse_build_equals_every_bracket(self, r):
         rep = ThetaRep.of(*r)
         for part in all_nilpotent_orbits(rep):
@@ -154,9 +172,24 @@ class TestActionStructureConstants:
         acting, module = cent.by_degree[0], cent.by_degree[2]
         # drop from the module an element that another one is bracketed into
         w = next(z for x in acting for v in module for z in bracket(cent, x, v) if z != v)
+        assert w == xi(2, 2, 2)
         cent.by_degree = cent.by_degree[:2] + (tuple(v for v in module if v != w),)
-        with pytest.raises(RuntimeError, match="grading violation"):
+        # the + term of [xi_1^{2,1}, xi_2^{1,1}] is the first to meet it
+        with pytest.raises(RuntimeError) as err:
             cent.action_structure_constants()
+        assert str(err.value) == ("grading violation: [xi_1^{2,1}, xi_2^{1,1}] "
+                                  "contains xi_2^{2,2} of degree 2")
+
+    def test_minus_term_outside_the_module_is_a_grading_violation(self):
+        cent = build_centralizer(LabeledPartition.parse("3^0 3^2 1^1"), 3)
+        module = cent.by_degree[2]
+        # [xi_1^{2,1}, xi_2^{1,1}] = xi_2^{2,2} - xi_1^{1,2}: its - term
+        # is the first bracket to leave the module without xi_1^{1,2}
+        cent.by_degree = cent.by_degree[:2] + (tuple(v for v in module if v != xi(1, 1, 2)),)
+        with pytest.raises(RuntimeError) as err:
+            cent.action_structure_constants()
+        assert str(err.value) == ("grading violation: [xi_1^{2,1}, xi_2^{1,1}] "
+                                  "contains xi_1^{1,2} of degree 2")
 
 
 class TestMatrixModel:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from helpers import SKEW_DOCUMENT
-from thetagib import ThetaRep, check_rep
+from thetagib import EVAL_PRIME, ThetaRep, check_rep
 from thetagib.cli import (
     CSV_COLUMNS,
     SweepSpec,
@@ -618,7 +618,7 @@ class TestIndexFileCommand:
 
     def test_denominator_multiple_of_evaluation_prime(self, capsys, tmp_path):
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 1, "rank": 0,
-                                     "brackets": [[0, 0, 0, 1, 2147483647]]})
+                                     "brackets": [[0, 0, 0, 1, EVAL_PRIME]]})
         code, out, _ = run_cli(capsys, "index-file", path)
         assert code == 0
         assert "index=0" in out and "verdict true" in out
@@ -627,7 +627,7 @@ class TestIndexFileCommand:
         # the row p*a1, p*a2 vanishes at every point mod p unless it is
         # stored primitive, as a1, a2
         path = self.write(tmp_path, {"dim_q": 1, "dim_v": 2, "brackets": [
-            [0, 0, 0, 2147483647, 1], [0, 1, 1, 2147483647, 1]]})
+            [0, 0, 0, EVAL_PRIME, 1], [0, 1, 1, EVAL_PRIME, 1]]})
         code, out, _ = run_cli(capsys, "index-file", path, "--format", "json")
         assert code == 0
         doc = json.loads(out)

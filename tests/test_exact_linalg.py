@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from sympy import GF
+from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
 from helpers import (
@@ -95,9 +95,12 @@ class TestProbabilisticRank:
         assert certified_rank(m) == 2
 
     def test_points_are_redrawn_into_the_field(self, monkeypatch):
-        # a draw of p itself is not a residue mod p and must be drawn again
+        # a draw of p itself is not a residue mod p: it is skipped where it
+        # falls, and the next draw below p is the next coordinate
         import thetagib.exact_linalg as el
 
+        m = matrix_of([[lf(a1=1, a2=1, a3=1)]], 3)
+        probabilistic_rank(m)  # seed 0's own stream must not serve the draws below
         draws = iter([EVAL_PRIME, 5, EVAL_PRIME, EVAL_PRIME, 7, 9])
 
         class Draws:
@@ -112,9 +115,64 @@ class TestProbabilisticRank:
         monkeypatch.setattr(el.random, "Random", Draws)
         monkeypatch.setattr(el, "rank_at_point_mod",
                             lambda m, point, ceiling: points.append(point) or 0)
-        m = matrix_of([[lf(a1=1, a2=1, a3=1)]], 3)
         assert probabilistic_rank(m) == 0
-        assert points == [[9, 5, 7]]
+        assert points == [[5, 7, 9]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 29])
+    def test_a_point_is_the_prefix_of_longer_points(self, monkeypatch, seed):
+        import thetagib.exact_linalg as el
+
+        points = []
+        monkeypatch.setattr(el, "rank_at_point_mod",
+                            lambda m, point, ceiling: points.append(point) or 0)
+        for s in (8, 3, 13, 8):
+            probabilistic_rank(matrix_of([[lf(a1=1)]], s), seed=seed)
+        bits = random.Random(seed).getrandbits
+        stream = [x for x in (bits(30) for _ in range(20)) if x < EVAL_PRIME]
+        assert points == [stream[:8], stream[:3], stream[:13], stream[:8]]
+        assert points[2][:8] == points[0] and points[2][:3] == points[1]
+
+    def test_threads_extending_one_stream_see_the_same_points(self, monkeypatch):
+        # a draw and its append are two steps: without the stream's lock,
+        # threads that extend the stream together interleave them and the
+        # stream stops being the in-order draws of its seed
+        import sys
+        import threading
+
+        import thetagib.exact_linalg as el
+
+        seed = 918273645  # drawn by no other test, so the stream starts empty
+        points = []
+        monkeypatch.setattr(el, "rank_at_point_mod",
+                            lambda m, point, ceiling: points.append(point) or 0)
+        sizes = range(2000, 40001, 2000)
+        matrices = [matrix_of([[lf(a1=1)]], s) for s in sizes]
+        start = threading.Barrier(6)
+
+        def work():
+            start.wait(timeout=60)
+            for matrix in matrices:
+                probabilistic_rank(matrix, seed=seed)
+
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        bits = random.Random(seed).getrandbits
+        stream = [x for x in (bits(30) for _ in range(40100)) if x < EVAL_PRIME]
+        assert len(points) == 6 * len(sizes)
+        assert all(point == stream[:len(point)] for point in points)
+
+    def test_evaluation_prime_is_a_prime_below_two_to_the_30(self):
+        assert isprime(EVAL_PRIME)
+        assert EVAL_PRIME < 2 ** 30 and EVAL_PRIME == prevprime(2 ** 30)
 
     def test_seed_and_ceiling_are_keyword_only(self):
         # read positionally, (m, 3, 0) would be seed 3 at ceiling 0: rank 0
