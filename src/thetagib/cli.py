@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .centralizer import build_centralizer
@@ -177,7 +176,10 @@ def sweep(spec: SweepSpec, *, seed: int = 0, certify_all: bool = False,
     task = functools.partial(check_rep, seed=seed, certify_all=certify_all,
                              max_terms=max_terms, cert_timeout=cert_timeout)
     if jobs > 1 and len(firsts) > 1:
-        # a forking executor starts all its workers at the first submit
+        # imported here, so that only a pool loads multiprocessing; a forking
+        # executor starts all its workers at the first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
             reports = list(pool.map(task, firsts.values()))
     else:

@@ -3,11 +3,11 @@
 The central object is a matrix of homogeneous linear forms in a_1, ..., a_s,
 stored as sparse integer rows: row i maps the column of each nonzero cell
 to its form, a dict from an indeterminate's 0-based index to its nonzero
-int coefficient.  Every routine below pays for the stored cells, but an F_p
-point has s coordinates and Bareiss builds a dense working grid.  The
-*generic rank* (the rank over the function field) is what index
-computations consume.  Row scaling keeps it, so a builder with rational
-data clears each row's denominators.  Three routines bracket it:
+int coefficient.  Every routine below works on the stored cells only, but
+an F_p point has s coordinates.  The *generic rank* (the rank over the
+function field) is what index computations consume.  Row scaling keeps it,
+so a builder with rational data clears each row's denominators.  Three
+routines bracket it:
 
 * ``probabilistic_rank``: evaluate at a random point of a large prime field.
   The result is a lower bound for the generic rank and equals it with
@@ -19,9 +19,12 @@ data clears each row's denominators.  Three routines bracket it:
   stream per seed serves every matrix.
 * ``ground_field_reduce``: shrink the matrix without changing its generic
   rank by replacing rows (then columns) with a Q-basis of their span, the
-  rows being read as vectors of coefficient tuples over Q.
+  rows being read as vectors of coefficient tuples over Q and eliminated
+  fraction-free in integers.
 * ``certified_rank``: exact generic rank via fraction-free (Bareiss)
-  elimination over Z[a_1..a_s], run after ``ground_field_reduce``.
+  elimination over Z[a_1..a_s] on the sparse rows of the
+  ``ground_field_reduce`` matrix, skipped when the reduced shape equals a
+  proven lower bound.
 
 The elimination keeps each polynomial as a dict from a packed exponent to
 an int coefficient.  An exponent vector is one int with a field of ``width``
@@ -40,9 +43,10 @@ division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
 Each Bareiss step pivots on a cell with the fewest terms, ties broken by
 the least Markowitz count (r_i - 1)(c_j - 1) of nonzero cells in its row
 and column of the remaining block (Markowitz, Management Sci. 1957), then
-by row-major order.  The update a*piv - left*b of a zero cell a is zero
-when left or b is, so such a cell is skipped: it costs no product, no
-division and no clock read.  Any pivot order gives the exact rank.
+by row-major order of the positions that the pivot swaps so far give.  The
+update a*piv - left*b of a zero cell a is zero when left or b is, so such
+a cell is not stored and is skipped: it costs no product, no division and
+no clock read.  Any pivot order gives the exact rank.
 
 Matrices share their rows and forms, and no routine modifies a row, a form
 or a matrix; every routine here is pure, so independent rank computations can
@@ -54,9 +58,11 @@ from __future__ import annotations
 
 import random
 import threading
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from heapq import heappop, heappush, heapreplace
+from itertools import chain
+from math import gcd
 from time import monotonic
 from typing import Callable, Mapping, Sequence
 
@@ -256,35 +262,50 @@ def probabilistic_rank(M: LinearFormMatrix, *, seed: int = 0,
 # Ground-field reduction.
 
 
-def _coeff_div(a, b):
-    """a / b without drifting through floats; stays int when it can."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, rem = divmod(a, b)
-        if rem == 0:
-            return q
-        return Fraction(a, b)
-    return Fraction(a) / b
-
-
 def _independent_indices(vectors: list[dict[int, int]]) -> list[int]:
-    """Indices of a maximal Q-independent subset (greedy, order-preserving)."""
-    basis: list[tuple[int, dict]] = []  # (pivot position, reduced vector)
+    """Indices of a maximal Q-independent subset (greedy, order-preserving).
+
+    Eliminates in integers, with the termination of ``pivot_columns_mod``:
+    a kept vector is stored primitive under its least key, its pivot, and
+    a vector is reduced only at its least key while that key is a pivot.
+    With w_p and b_p the two values there and g = gcd(w_p, b_p) > 0, w
+    becomes (b_p/g) w - (w_p/g) b, which clears key p and changes only
+    greater keys.  So the least key grows until it is no pivot, and w,
+    independent of the kept vectors, is kept; or w is zero.  Which subset
+    greedy independence keeps does not depend on the pivots.  The vectors
+    are reduced in place, so the caller passes dicts of its own.
+    """
+    basis: dict[int, tuple[int, dict[int, int]]] = {}  # pivot -> (value there, the rest)
     keep = []
-    for idx, vec in enumerate(vectors):
-        w = dict(vec)
-        for pivot, bvec in basis:
-            c = w.get(pivot)
-            if c:
-                f = _coeff_div(c, bvec[pivot])
-                for k, v in bvec.items():
-                    nv = w.get(k, 0) - f * v
-                    if nv:
-                        w[k] = nv
-                    else:
-                        w.pop(k, None)
-        if w:
-            basis.append((next(iter(w)), w))
-            keep.append(idx)
+    for idx, w in enumerate(vectors):
+        while w:
+            key = min(w)
+            f = w.pop(key)
+            pivot = basis.get(key)
+            if pivot is None:
+                if f != 1 and f != -1:
+                    content = gcd(f, *w.values())
+                    if content != 1:
+                        f //= content
+                        w = {k: v // content for k, v in w.items()}
+                basis[key] = (f, w)
+                keep.append(idx)
+                break
+            piv, rest = pivot
+            if piv < 0:
+                piv, f = -piv, -f
+            if piv != 1:
+                g = gcd(f, piv)
+                if g != piv:
+                    scale = piv // g
+                    w = {k: v * scale for k, v in w.items()}
+                f //= g
+            for k, v in rest.items():
+                nv = w.get(k, 0) - f * v
+                if nv:
+                    w[k] = nv
+                else:
+                    del w[k]
     return keep
 
 
@@ -294,7 +315,9 @@ def ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
     Rows are read as coefficient vectors in Q^(cols*s); a maximal linearly
     independent subset spans the same row space over Q, hence over Q(a), so
     the generic rank is unchanged.  The same is then applied to columns,
-    read off one pass over the kept rows' cells.
+    read off one pass over the kept rows' cells.  Both subsets are greedy
+    in the given order, and the elimination runs in integers (see
+    ``_independent_indices``).
     """
     s = M.num_indeterminates
     row_keep = _independent_indices([{j * s + k: c for j, e in row.items() for k, c in e.items()}
@@ -404,64 +427,71 @@ def _div_heap(num: dict, divisor: dict, guard: int,
     return dict(quot)
 
 
-def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
+def _bareiss_rank(rows: list[dict[int, dict]], ncols: int, guard: int, max_terms: int,
                  deadline: float | None) -> int:
-    """Fraction-free elimination with sparsest, least-fill pivot selection.
+    """Fraction-free elimination of the sparse rows ``{j: poly}``, least fill first.
 
     The pivot is a nonzero cell of the remaining block with the fewest
     terms; ties go to the least Markowitz count (r_i - 1)(c_j - 1), where
     r_i and c_j count the nonzero cells in its row and column of the block,
-    and then to the first in row-major order.  Any pivot order gives the
-    exact rank.  A zero cell whose row has a zero in the pivot column, or
-    whose column has a zero in the pivot row, stays zero and is skipped
-    without a product, a division or a clock read.  ``deadline`` is a
-    ``time.monotonic`` value checked before each other cell is computed and
-    within its product and division, or None for no limit.
+    and then to the first in row-major order.  Rows and columns are not
+    moved: two position lists record the pivot swaps, so positions, and
+    with them the tie-break and the order in which cells are computed, are
+    those of a dense grid that swaps its rows and columns.  Any pivot order
+    gives the exact rank.  A zero cell whose row has a zero in the pivot
+    column, or whose column has a zero in the pivot row, stays zero and is
+    skipped without a product, a division or a clock read.  ``deadline`` is
+    a ``time.monotonic`` value checked before each other cell is computed
+    and within its product and division, or None for no limit.
     """
-    nrows = len(grid)
-    ncols = len(grid[0]) if nrows else 0
+    rows = list(rows)  # position -> row; a row below the pivot is replaced each step
+    nrows = len(rows)
+    col_at = list(range(ncols))  # position -> column
+    pos = list(range(ncols))  # column -> position
+    zero: dict[int, int] = {}
     prev: dict | None = None  # divisor for the current step; None = 1
     r = 0
     while r < nrows and r < ncols:
-        row_count = [0] * nrows
-        col_count = [0] * ncols
+        col_count = Counter(chain.from_iterable(rows[r:]))
+        pi = -1  # position of the pivot row, or -1 while none is found
         for i in range(r, nrows):
-            row = grid[i]
-            for j in range(r, ncols):
-                if row[j]:
-                    row_count[i] += 1
-                    col_count[j] += 1
-        best = None
-        for i in range(r, nrows):
-            row = grid[i]
-            fill = row_count[i] - 1
-            for j in range(r, ncols):
-                e = row[j]
-                if e:
-                    key = (len(e), fill * (col_count[j] - 1))
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != r:
-            grid[r], grid[pi] = grid[pi], grid[r]
-        if pj != r:
-            for row in grid:
-                row[r], row[pj] = row[pj], row[r]
-        pivot_row = grid[r]
-        piv = pivot_row[r]
-        for i in range(r + 1, nrows):
-            row = grid[i]
-            left = row[r]
-            for j in range(r + 1, ncols):
-                a = row[j]
-                b = pivot_row[j]
-                if not a and (not left or not b):
+            row = rows[i]
+            fill = len(row) - 1
+            for j, e in row.items():
+                terms = len(e)
+                if pi >= 0 and terms > best_terms:
                     continue
+                count = fill * (col_count[j] - 1)
+                # rows come in position order, so a tie within a row goes
+                # to the lesser column position, and across rows to the first
+                if (pi < 0 or terms < best_terms or count < best_count
+                        or count == best_count and i == pi and pos[j] < pj):
+                    pi, pj, best_terms, best_count = i, pos[j], terms, count
+        if pi < 0:
+            break
+        rows[r], rows[pi] = rows[pi], rows[r]
+        pc = col_at[pj]
+        if pj != r:
+            other = col_at[r]
+            col_at[r], col_at[pj] = pc, other
+            pos[pc], pos[other] = r, pj
+        pivot_row = rows[r]
+        piv = pivot_row[pc]
+        others = pivot_row.keys() - {pc}
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            left = row.get(pc, zero)
+            if left:
+                cols = row.keys() | others
+                cols.remove(pc)
+            else:
+                cols = row.keys()
+            new = {}
+            for j in sorted(cols, key=pos.__getitem__):
                 if deadline is not None and monotonic() >= deadline:
                     raise ResourceLimitExceeded("certification passed its time limit")
-                cell = _cross(a, piv, left, b, max_terms, deadline)
+                cell = _cross(row.get(j, zero), piv, left, pivot_row.get(j, zero),
+                              max_terms, deadline)
                 if prev is not None:
                     cell = _div_heap(cell, prev, guard, deadline)
                 if len(cell) > max_terms:
@@ -469,34 +499,44 @@ def _bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
                         f"intermediate polynomial has {len(cell)} terms "
                         f"(limit {max_terms})"
                     )
-                row[j] = cell
-            row[r] = {}
+                if cell:
+                    new[j] = cell
+            rows[i] = new
         prev = piv
         r += 1
     return r
 
 
 def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
-                   timeout: float | None = None) -> int:
+                   timeout: float | None = None, lower: int = 0) -> int:
     """Exact generic rank of M over Q(a_1..a_s).
 
-    Applies ``ground_field_reduce`` first, then Bareiss elimination over the
-    polynomial ring Z[a], the matrix rows having integer coefficients.  Raises
-    ``ResourceLimitExceeded`` when an intermediate polynomial outgrows
-    ``max_terms``, or when ``timeout`` seconds (None: no limit) have passed;
-    the time is read before each cell, after each term of a product and
-    after each quotient term of a division.  The caller decides what "too
-    expensive" means for its verdict.
+    Applies ``ground_field_reduce`` first.  The generic rank is at most
+    either side of the reduced matrix, so when the lesser side equals
+    ``lower``, a proven lower bound for the generic rank (0 proves
+    nothing more), that is the rank, and no elimination runs.  A bound
+    above the lesser side contradicts its proof and raises ``ValueError``.
+    Otherwise Bareiss elimination runs over the polynomial ring Z[a] on
+    the reduced matrix's sparse rows, which have integer coefficients.
+    Raises ``ResourceLimitExceeded`` when an intermediate polynomial
+    outgrows ``max_terms``, or when ``timeout`` seconds (None: no limit)
+    have passed; the time is read before each cell, after each term of a
+    product and after each quotient term of a division.  The caller
+    decides what "too expensive" means for its verdict.
     """
     deadline = None if timeout is None else monotonic() + timeout
     reduced = ground_field_reduce(M)
-    if reduced.rows == 0 or reduced.cols == 0:
-        return 0
+    limit = min(reduced.rows, reduced.cols)
+    if lower > limit:
+        raise ValueError(f"lower bound {lower} exceeds the reduced shape "
+                         f"{reduced.rows}x{reduced.cols}")
+    if lower == limit:
+        return lower
     used = sorted({k for row in reduced.cells for form in row.values() for k in form})
     # at step r every cell is homogeneous of degree r + 1, so no numerator
     # formed before a division has degree above 2 * min(rows, cols)
-    width, guard = _packing(len(used), 2 * min(reduced.rows, reduced.cols))
+    width, guard = _packing(len(used), 2 * limit)
     bit = {k: 1 << ((len(used) - 1 - t) * width) for t, k in enumerate(used)}
-    grid = [[{bit[k]: c for k, c in row.get(j, {}).items()}
-             for j in range(reduced.cols)] for row in reduced.cells]
-    return _bareiss_rank(grid, guard, max_terms, deadline)
+    rows = [{j: {bit[k]: c for k, c in form.items()} for j, form in row.items()}
+            for row in reduced.cells]
+    return _bareiss_rank(rows, reduced.cols, guard, max_terms, deadline)

@@ -140,9 +140,11 @@ def certify(matrix: LinearFormMatrix, result: IndexResult, max_terms: int,
     Greedy in the given order, ``ground_field_reduce`` drops each row or
     column that is a Q-combination of earlier kept ones, a relation the
     slice keeps, so the reduced slice of ``matrix`` is that of its reduction.
-    ``index_of_matrix`` (and so ``index-file``) keeps the plain routine: a
-    document need not come from a Lie algebra action, and without one the
-    rank need not be constant along any orbits.
+    The F_p rank at xi0 is a lower bound that ``slice_rank`` hands on, so a
+    reduced slice whose lesser side equals it is certified without Bareiss.
+    ``index_of_matrix`` (and so ``index-file``) keeps the plain routine, with
+    no lower bound: a document need not come from a Lie algebra action, and
+    without one the rank need not be constant along any orbits.
     """
     try:
         cert = (rank or certified_rank)(matrix, max_terms, cert_timeout)
@@ -231,6 +233,12 @@ def slice_rank(matrix: LinearFormMatrix, max_terms: int, timeout: float | None) 
     to finish is the rank, whatever the base point.  One ``timeout`` covers
     all attempts.  Raises ``ResourceLimitExceeded`` once the attempt at
     ``max_terms`` fails or the time is up.
+
+    Each attempt passes ``certified_rank`` the F_p rank at its base point,
+    the number of pivot columns, as ``lower``: the slice passes through the
+    point, reducing mod p only loses rank, and no point's rank exceeds the
+    generic rank.  So a reduced slice whose lesser side equals it pins the
+    rank without elimination, whatever the budget.
     """
     deadline = None if timeout is None else monotonic() + timeout
     for attempt in count():
@@ -243,8 +251,11 @@ def slice_rank(matrix: LinearFormMatrix, max_terms: int, timeout: float | None) 
         rng = random.Random(attempt)
         point = [rng.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE)
                  for _ in range(matrix.cols)]
+        sliced = transversal_slice(matrix, point)
+        # the rank at the point: the slice complement J holds the non-pivots
+        lower = matrix.cols - (sliced.num_indeterminates - 1)
         try:
-            return certified_rank(transversal_slice(matrix, point), budget, left)
+            return certified_rank(sliced, budget, left, lower)
         except ResourceLimitExceeded:
             if budget == max_terms:
                 raise

@@ -4,7 +4,9 @@ Everything here is deliberately independent of the implementation paths it
 checks: orbit enumeration is re-done by label assignment over plain
 partitions, graded dimensions by counting matrix units, brackets by explicit
 matrix commutators, generic ranks by sympy's own symbolic elimination,
-point ranks by plain rational row reduction, and parsed documents by
+point ranks by plain rational row reduction, ground-field reductions by
+``Fraction`` elimination against every basis vector, Bareiss by a dense
+grid with physical row and column swaps, and parsed documents by
 accumulating ``Fraction`` coefficients.
 """
 
@@ -20,7 +22,8 @@ from sympy.polys.matrices import DomainMatrix
 from thetagib import ThetaRep, check_rep
 from thetagib.centralizer import GradedCentralizer, XiElement
 from thetagib.cli import SweepSpec, sweep_reps
-from thetagib.exact_linalg import LinearFormMatrix
+import thetagib.exact_linalg as el
+from thetagib.exact_linalg import DEFAULT_TERM_LIMIT, LinearFormMatrix, ResourceLimitExceeded
 
 
 def rep_of(*r: int) -> ThetaRep:
@@ -403,6 +406,124 @@ def scalar_rank(matrix) -> int:
                     m[r][c] -= f * m[rank][c]
         rank += 1
     return rank
+
+
+# ---------------------------------------------------------------------------
+# Certification as it ran in Fractions and on a dense grid: the oracles for
+# the integer reduction and the sparse Bareiss elimination.
+
+
+def fraction_independent_indices(vectors: list[dict[int, int]]) -> list[int]:
+    """Indices of a maximal Q-independent subset (greedy, order-preserving).
+
+    Each vector is reduced in Fractions against every basis vector in turn;
+    a nonzero remainder joins the basis with its first key as pivot.
+    """
+    basis: list[tuple[int, dict]] = []  # (pivot position, reduced vector)
+    keep = []
+    for idx, vec in enumerate(vectors):
+        w = dict(vec)
+        for pivot, bvec in basis:
+            c = w.get(pivot)
+            if c:
+                f = Fraction(c) / bvec[pivot]
+                for k, v in bvec.items():
+                    nv = w.get(k, 0) - f * v
+                    if nv:
+                        w[k] = nv
+                    else:
+                        w.pop(k, None)
+        if w:
+            basis.append((next(iter(w)), w))
+            keep.append(idx)
+    return keep
+
+
+def fraction_ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
+    """``ground_field_reduce`` with ``fraction_independent_indices`` for rows, then columns."""
+    s = M.num_indeterminates
+    row_keep = fraction_independent_indices(
+        [{j * s + k: c for j, e in row.items() for k, c in e.items()} for row in M.cells])
+    kept_rows = [M.cells[i] for i in row_keep]
+    columns: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(kept_rows):
+        for j, e in row.items():
+            columns.setdefault(j, {}).update((i * s + k, c) for k, c in e.items())
+    nonzero = sorted(columns)
+    keep = fraction_independent_indices([columns[j] for j in nonzero])
+    col_keep = {nonzero[t]: new for new, t in enumerate(keep)}
+    cells = [{col_keep[j]: e for j, e in row.items() if j in col_keep}
+             for row in kept_rows]
+    return LinearFormMatrix(cells, s, len(col_keep))
+
+
+def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
+    """Bareiss on a dense grid of packed polynomials, swapping rows and columns.
+
+    The pivot is the first cell in row-major order with the fewest terms,
+    ties to the least Markowitz count; a zero cell whose update is zero is
+    skipped.  Products and divisions go through ``exact_linalg._cross`` and
+    ``_div_heap``, looked up at each call, so a test can record them.
+    """
+    nrows = len(grid)
+    ncols = len(grid[0]) if nrows else 0
+    prev = None
+    r = 0
+    while r < nrows and r < ncols:
+        row_count = [0] * nrows
+        col_count = [0] * ncols
+        for i in range(r, nrows):
+            for j in range(r, ncols):
+                if grid[i][j]:
+                    row_count[i] += 1
+                    col_count[j] += 1
+        best = None
+        for i in range(r, nrows):
+            for j in range(r, ncols):
+                e = grid[i][j]
+                if e:
+                    key = (len(e), (row_count[i] - 1) * (col_count[j] - 1))
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        grid[r], grid[pi] = grid[pi], grid[r]
+        for row in grid:
+            row[r], row[pj] = row[pj], row[r]
+        pivot_row = grid[r]
+        piv = pivot_row[r]
+        for i in range(r + 1, nrows):
+            row = grid[i]
+            left = row[r]
+            for j in range(r + 1, ncols):
+                a = row[j]
+                b = pivot_row[j]
+                if not a and (not left or not b):
+                    continue
+                cell = el._cross(a, piv, left, b, max_terms)
+                if prev is not None:
+                    cell = el._div_heap(cell, prev, guard)
+                if len(cell) > max_terms:
+                    raise ResourceLimitExceeded(f"{len(cell)} terms")
+                row[j] = cell
+            row[r] = {}
+        prev = piv
+        r += 1
+    return r
+
+
+def dense_certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> int:
+    """Generic rank by ``dense_bareiss_rank`` on ``fraction_ground_field_reduce(M)``."""
+    reduced = fraction_ground_field_reduce(M)
+    if reduced.rows == 0 or reduced.cols == 0:
+        return 0
+    used = sorted({k for row in reduced.cells for form in row.values() for k in form})
+    width, guard = el._packing(len(used), 2 * min(reduced.rows, reduced.cols))
+    bit = {k: 1 << ((len(used) - 1 - t) * width) for t, k in enumerate(used)}
+    grid = [[{bit[k]: c for k, c in row.get(j, {}).items()} for j in range(reduced.cols)]
+            for row in reduced.cells]
+    return dense_bareiss_rank(grid, guard, max_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,20 @@ class TestUsage:
         assert "usage: thetagib" in (capsys.readouterr().err if code else
                                      capsys.readouterr().out)
 
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # only sweep's worker pool needs it, and loading it slows every start
+        import os
+        import subprocess
+
+        import thetagib
+
+        # the child imports the same package as this process
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(thetagib.__file__))}
+        code = "import sys, thetagib.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env).stdout
+        assert out == "False\n"
+
 
 class TestSweepCommand:
     def test_m3_n6_families(self, capsys):
@@ -341,7 +355,7 @@ class TestSweepCommand:
     def test_workers_never_outnumber_the_representatives(self, monkeypatch):
         # a forking executor starts all max_workers processes at its first
         # submit; m=3 n 3:4 has two dihedral classes, so two workers suffice
-        import thetagib.cli as cli
+        import concurrent.futures
 
         workers = []
 
@@ -358,7 +372,7 @@ class TestSweepCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = SweepSpec(3, 4, 3, 3)
         assert sweep(spec, jobs=64) == sweep(spec)
         assert workers == [2]

@@ -9,7 +9,9 @@ from sympy import GF, isprime, prevprime
 from sympy.polys.matrices import DomainMatrix
 
 from helpers import (
+    dense_certified_rank,
     evaluate,
+    fraction_ground_field_reduce,
     matrix_of,
     minor_expansion_rank,
     random_matrix,
@@ -324,8 +326,54 @@ class TestGroundFieldReduce:
             m = random_matrix(rng)
             assert certified_rank(ground_field_reduce(m)) == certified_rank(m)
 
+    def test_reduction_equals_the_rational_oracle_on_random_matrices(self):
+        # integer rows cleared from coefficients up to 3 over denominators
+        # up to 3, among them integer combinations of earlier rows, so that
+        # pivots other than +-1 scale the vectors they reduce
+        rng = random.Random(31)
+        non_unit = 0
+        for _ in range(300):
+            m = random_matrix(rng, max_rows=7, max_cols=6, max_vars=3)
+            cells = list(m.cells)
+            for _ in range(rng.randint(0, 3)):
+                combo: dict[tuple[int, int], int] = {}
+                for row in rng.sample(cells, min(len(cells), 3)):
+                    factor = rng.choice((-3, -2, 2, 3))
+                    for j, e in row.items():
+                        for k, c in e.items():
+                            combo[j, k] = combo.get((j, k), 0) + factor * c
+                row: dict[int, dict[int, int]] = {}
+                for (j, k), c in combo.items():
+                    if c:
+                        row.setdefault(j, {})[k] = c
+                cells.insert(rng.randint(0, len(cells)), row)
+            m = LinearFormMatrix(cells, m.num_indeterminates, m.cols)
+            non_unit += any(abs(c) > 1 for row in cells for e in row.values() for c in e.values())
+            got, want = ground_field_reduce(m), fraction_ground_field_reduce(m)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert [list(row.items()) for row in got.cells] == \
+                [list(row.items()) for row in want.cells]
+        assert non_unit > 200
+
 
 class TestCertifiedRank:
+    def test_lower_bound_at_the_reduced_shape_pins_the_rank(self, monkeypatch):
+        # three proportional rows over two columns reduce to 1x2: a lower
+        # bound of 1 is the rank, and 2 contradicts the shape
+        import thetagib.exact_linalg as el
+
+        m = matrix_of([[lf(a1=1), lf(a2=1)], [lf(a1=2), lf(a2=2)], [lf(a1=-3), lf(a2=-3)]], 2)
+        assert certified_rank(m) == 1
+        with pytest.raises(ValueError, match="exceeds the reduced shape 1x2"):
+            certified_rank(m, lower=2)
+
+        def forbidden(*a, **k):
+            raise AssertionError("Bareiss ran on a pinned matrix")
+
+        monkeypatch.setattr(el, "_bareiss_rank", forbidden)
+        assert certified_rank(m, lower=1) == 1
+        assert certified_rank(LinearFormMatrix([{}, {}], 1, 3)) == 0
+
     def test_full_rank_two_by_two(self):
         m = matrix_of([[lf(a1=1), lf(a2=1)],
                               [lf(a2=1), lf(a1=1)]], 2)
@@ -442,6 +490,37 @@ class TestCertifiedRank:
             assert rank == sympy_field_rank(m)
             drops += rank < min(rows, cols)
         assert drops
+
+    def test_sparse_rows_make_the_dense_calls_on_tied_matrices(self, monkeypatch):
+        # dense one-term cells tie on terms and often on fill, and each row's
+        # cells are stored in shuffled column order, so the pivot and the
+        # order of the products follow from positions alone; the dense
+        # grid with physical swaps is the oracle
+        import thetagib.exact_linalg as el
+
+        calls = []
+
+        def recorded(a, piv, left, b, cap, *rest):
+            calls.append((a, piv, left, b))
+            return _cross(a, piv, left, b, cap, *rest)
+
+        monkeypatch.setattr(el, "_cross", recorded)
+        rng = random.Random(12)
+        for _ in range(40):
+            rows, cols, s = rng.randint(3, 7), rng.randint(3, 7), rng.randint(1, 3)
+            cells = []
+            for _ in range(rows):
+                row = [(j, {rng.randrange(s): rng.choice((-2, -1, 1, 2))})
+                       for j in range(cols) if rng.random() < 0.85]
+                rng.shuffle(row)
+                cells.append(dict(row))
+            m = LinearFormMatrix(cells, s, cols)
+            calls.clear()
+            sparse = certified_rank(m)
+            sparse_calls = list(calls)
+            calls.clear()
+            assert dense_certified_rank(m) == sparse
+            assert sparse_calls == calls
 
     def test_full_rank_at_the_field_width_bound(self):
         # a1*I_12 with a1 added off the diagonal of the first row: with one

@@ -82,7 +82,9 @@ class TestCheckOrbit:
 
     @pytest.mark.parametrize("r, orbit, decided_by, gib", [
         ((3, 3, 3), None, DECIDED_BY_BOUND_MATCH, True),
-        ((3, 3, 3), "5^0 3^1 1^2", DECIDED_BY_REDUCED_SHAPE, False),
+        # a reduced shape whose first base point has F_p rank 2, below the
+        # generic rank 3, so its reduced 3x5 slice is not pinned
+        ((2, 2, 2, 2, 1), "4^3 3^1 1^0 1^2", DECIDED_BY_REDUCED_SHAPE, False),
     ])
     def test_blown_forced_certification_keeps_the_cheaper_proof(
             self, monkeypatch, r, orbit, decided_by, gib):
@@ -102,6 +104,22 @@ class TestCheckOrbit:
         assert len(calls) == 1  # attempted, and abandoned at the first term
         assert v.decided_by == decided_by
         assert v.gib is gib
+
+    def test_pinned_slice_certifies_within_no_term_budget(self, monkeypatch):
+        # the slice of 5^0 3^1 1^2 at the first base point reduces to 2x4
+        # and has F_p rank 2 there: the shape pins the rank, so no
+        # elimination runs and a budget of 0 terms still certifies it
+        import thetagib.exact_linalg as el
+
+        def forbidden(*a, **k):
+            raise AssertionError("Bareiss ran on a pinned slice")
+
+        monkeypatch.setattr(el, "_bareiss_rank", forbidden)
+        v = check_orbit(ThetaRep.of(3, 3, 3), LabeledPartition.parse("5^0 3^1 1^2"),
+                        force_certify=True, max_terms=0)
+        assert v.decided_by == DECIDED_BY_CERTIFIED_RANK
+        assert v.index_result.cert_rank == 2
+        assert v.gib is False
 
     @pytest.mark.parametrize("r, orbit, decided_by, gib", [
         ((3, 3, 3), None, DECIDED_BY_BOUND_MATCH, True),

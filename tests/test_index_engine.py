@@ -11,7 +11,9 @@ import pytest
 from helpers import (
     SKEW_DOCUMENT,
     cached_check_rep,
+    dense_certified_rank,
     evaluate,
+    fraction_ground_field_reduce,
     fraction_parse,
     positive_rank_reps,
     scalar_rank,
@@ -41,6 +43,7 @@ from thetagib.index_engine import (
     DECIDED_BY_BOUND_MATCH,
     DECIDED_BY_CERTIFIED_RANK,
     DECIDED_BY_REDUCED_SHAPE,
+    SLICE_FIRST_TERMS,
     SLICE_POINT_RANGE,
     UNDECIDED,
     prove_indices,
@@ -312,18 +315,23 @@ class TestTransversalSlice:
 
         calls = []
 
-        def blown(matrix, max_terms, timeout):
-            calls.append((matrix.num_indeterminates, max_terms, timeout))
+        def blown(matrix, max_terms, timeout, lower):
+            calls.append((matrix.num_indeterminates, max_terms, timeout, lower))
             raise ResourceLimitExceeded("blown")
 
         monkeypatch.setattr(ie, "certified_rank", blown)
         m, _ = _orbit_matrices(*CERTIFY_ORBITS[0])
         with pytest.raises(ResourceLimitExceeded):
             slice_rank(m, 1000, 60.0)
-        assert [terms for _, terms, _ in calls] == [256, 512, 1000]
-        left = [timeout for _, _, timeout in calls]
+        assert [terms for _, terms, _, _ in calls] == [256, 512, 1000]
+        left = [timeout for _, _, timeout, _ in calls]
         assert 60.0 >= left[0] > left[1] > left[2] > 0  # one deadline, read per attempt
-        assert all(s < m.cols for s, _, _ in calls)  # every attempt is on a slice
+        assert all(s < m.cols for s, _, _, _ in calls)  # every attempt is on a slice
+        # each attempt's lower bound is the F_p rank at its base point
+        for attempt, (_, _, _, lower) in enumerate(calls):
+            draw = random.Random(attempt)
+            point = [draw.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE) for _ in range(m.cols)]
+            assert lower == el.rank_at_point_mod(m, point)
 
     def test_documents_certify_over_all_indeterminates(self, monkeypatch):
         # a document need not come from a group action, so index_of_matrix
@@ -341,6 +349,75 @@ class TestTransversalSlice:
         m, _ = _orbit_matrices((3, 3, 3), "5^0 3^1 1^2")
         assert index_of_matrix(m, force_certify=True).index == 4
         assert seen == [m.cols]
+
+
+def _items(matrix):
+    """The cells of ``matrix`` as nested item lists, so that key order counts."""
+    return [[(j, list(e.items())) for j, e in row.items()] for row in matrix.cells]
+
+
+class TestCertificationOracles:
+    @pytest.mark.parametrize("r", [(3, 3, 3), (2, 2, 2, 2), "certify"])
+    def test_reduction_equals_the_rational_oracle(self, r):
+        # every orbit matrix and its slice reduce in integers to the cells,
+        # in the same order, that the Fraction elimination keeps
+        rng = random.Random(sum(r) if r != "certify" else 0)
+        for label, m, _, point in _slice_cases(r, rng):
+            for matrix in (m, transversal_slice(m, point)):
+                got, want = ground_field_reduce(matrix), fraction_ground_field_reduce(matrix)
+                assert (got.rows, got.cols, got.num_indeterminates) == \
+                    (want.rows, want.cols, want.num_indeterminates), label
+                assert _items(got) == _items(want), label
+
+    def test_sparse_bareiss_makes_the_dense_calls(self, monkeypatch):
+        # on the certify slices at the first three base points, under the
+        # term budgets slice_rank gives them, the sparse rows see the same
+        # products, in the same order, as the dense grid, and end the same
+        calls = []
+
+        def recorded(a, piv, left, b, cap, *rest):
+            calls.append((a, piv, left, b, cap))
+            return cross(a, piv, left, b, cap, *rest)
+
+        cross = el._cross
+        monkeypatch.setattr(el, "_cross", recorded)
+
+        def run(rank, matrix, budget):
+            calls.clear()
+            try:
+                outcome = rank(matrix, budget)
+            except ResourceLimitExceeded:
+                outcome = None
+            return outcome, list(calls)
+
+        ranks = []
+        for label, m, _, point in _slice_cases("certify", None):
+            sliced = transversal_slice(m, point)
+            budget = SLICE_FIRST_TERMS << label[1]
+            sparse = run(certified_rank, sliced, budget)
+            dense = run(dense_certified_rank, sliced, budget)
+            assert sparse[0] == dense[0], label
+            assert sparse[1] == dense[1], label
+            ranks.append(sparse[0])
+        assert ranks.count(None) < len(ranks)
+
+    def test_pinned_slice_certifies_without_bareiss(self, monkeypatch):
+        # the first slice of 4^2 2^1 2^2 1^0 1^0 1^1 1^1 1^2 reduces to
+        # 20x24, and 20 is the F_p rank at its base point: the shape pins
+        # the rank.  The slices of the next orbit are not pinned
+        def refused(*a, **k):
+            raise AssertionError("Bareiss ran")
+
+        m, _ = _orbit_matrices(*CERTIFY_ORBITS[0])
+        draw = random.Random(0)
+        point = [draw.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE) for _ in range(m.cols)]
+        reduced = ground_field_reduce(transversal_slice(m, point))
+        assert (reduced.rows, reduced.cols) == (20, 24)
+        monkeypatch.setattr(el, "_bareiss_rank", refused)
+        assert slice_rank(m, DEFAULT_TERM_LIMIT, None) == 20
+        m, _ = _orbit_matrices(*CERTIFY_ORBITS[1])
+        with pytest.raises(AssertionError, match="Bareiss ran"):
+            slice_rank(m, DEFAULT_TERM_LIMIT, None)
 
 
 def _queue_problems():
