@@ -38,7 +38,8 @@ of each field is a guard bit that stays zero.  With ``GUARD`` the mask of
 all guard bits, a monomial d divides e exactly when
 ``((e | GUARD) - d) & GUARD == GUARD``: a field where d exceeds e borrows
 its guard bit away, and no borrow crosses into the next field.  Exact
-division is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
+division by a one-term divisor is one pass over the terms; by a longer one
+it is heap division after Monagan & Pearce (J. Symb. Comput. 2011).
 
 Each Bareiss step pivots on a cell with the fewest terms, ties broken by
 the least Markowitz count (r_i - 1)(c_j - 1) of nonzero cells in its row
@@ -46,7 +47,13 @@ and column of the remaining block (Markowitz, Management Sci. 1957), then
 by row-major order of the positions that the pivot swaps so far give.  The
 update a*piv - left*b of a zero cell a is zero when left or b is, so such
 a cell is not stored and is skipped: it costs no product, no division and
-no clock read.  Any pivot order gives the exact rank.
+no clock read.  A row whose pivot-column cell is zero only gains the
+factor piv/prev, which for one-term pivots keeps every zero pattern and
+term count, all that the pivot rule reads; such a row is left alone until
+it is next read, and then rescaled once by the product of the factors it
+missed (see ``_bareiss_rank``).  Least-fill pivots almost always have one
+term, so most of those products are never made.  Any pivot order gives
+the exact rank.
 
 Matrices share their rows and forms, and no routine modifies a row, a form
 or a matrix; every routine here is pure, so independent rank computations can
@@ -377,14 +384,28 @@ def _div_heap(num: dict, divisor: dict, guard: int,
               deadline: float | None = None) -> dict[int, int]:
     """num / divisor over Z[a]; ``ArithmeticError`` unless it is exact.
 
-    Heap division after Monagan & Pearce: the dividend is read in
-    descending order while a heap merges the products q_i * g_j of the
-    quotient terms found so far with the divisor's non-leading terms, one
-    pending product per quotient term, so the next monomial to cancel is
-    always at the top instead of being searched for in a remainder.
-    ``deadline`` (a ``time.monotonic`` value, or None) is read once per
-    quotient term.
+    A one-term divisor c*x^d divides each term in one pass, in the order of
+    ``num``: a coefficient remainder or a field of d above the term's
+    exponent (a guard-bit borrow) raises, and ``deadline`` is read once,
+    after the pass.  A longer divisor goes through heap division after
+    Monagan & Pearce: the dividend is read in descending order while a heap
+    merges the products q_i * g_j of the quotient terms found so far with
+    the divisor's non-leading terms, one pending product per quotient term,
+    so the next monomial to cancel is always at the top instead of being
+    searched for in a remainder.  There ``deadline`` (a ``time.monotonic``
+    value, or None) is read once per quotient term.
     """
+    if len(divisor) == 1:
+        (lead_e, lead_c), = divisor.items()
+        quot = {}
+        for e, c in num.items():
+            q, rem = divmod(c, lead_c)
+            if rem or ((e | guard) - lead_e) & guard != guard:
+                raise ArithmeticError("inexact polynomial division")
+            quot[e - lead_e] = q
+        if deadline is not None and monotonic() >= deadline:
+            raise ResourceLimitExceeded("certification passed its time limit")
+        return quot
     g = sorted(divisor.items(), reverse=True)
     lead_e, lead_c = g[0]
     rest = g[1:]
@@ -427,59 +448,101 @@ def _div_heap(num: dict, divisor: dict, guard: int,
     return dict(quot)
 
 
+def _least_fill_pivot(rows: list[dict[int, dict]], r: int, pos: list[int]) -> tuple[int, int]:
+    """Row and column positions of the step-r pivot of ``_bareiss_rank``; (-1, -1) if none.
+
+    The pivot is a nonzero cell of ``rows[r:]`` with the fewest terms; ties
+    go to the least Markowitz count (r_i - 1)(c_j - 1), where r_i and c_j
+    count the nonzero cells in its row and column of the block, and then
+    to the first in row-major order of the positions, ``pos`` mapping each
+    column to its own.  Only zero patterns and term counts are read.
+    """
+    col_count = Counter(chain.from_iterable(rows[r:]))
+    pi = pj = -1  # the pivot's positions, or -1 while none is found
+    for i in range(r, len(rows)):
+        row = rows[i]
+        fill = len(row) - 1
+        for j, e in row.items():
+            terms = len(e)
+            if pi >= 0 and terms > best_terms:
+                continue
+            count = fill * (col_count[j] - 1)
+            # rows come in position order, so a tie within a row goes
+            # to the lesser column position, and across rows to the first
+            if (pi < 0 or terms < best_terms or count < best_count
+                    or count == best_count and i == pi and pos[j] < pj):
+                pi, pj, best_terms, best_count = i, pos[j], terms, count
+    return pi, pj
+
+
 def _bareiss_rank(rows: list[dict[int, dict]], ncols: int, guard: int, max_terms: int,
                  deadline: float | None) -> int:
     """Fraction-free elimination of the sparse rows ``{j: poly}``, least fill first.
 
-    The pivot is a nonzero cell of the remaining block with the fewest
-    terms; ties go to the least Markowitz count (r_i - 1)(c_j - 1), where
-    r_i and c_j count the nonzero cells in its row and column of the block,
-    and then to the first in row-major order.  Rows and columns are not
-    moved: two position lists record the pivot swaps, so positions, and
-    with them the tie-break and the order in which cells are computed, are
-    those of a dense grid that swaps its rows and columns.  Any pivot order
-    gives the exact rank.  A zero cell whose row has a zero in the pivot
-    column, or whose column has a zero in the pivot row, stays zero and is
-    skipped without a product, a division or a clock read.  ``deadline`` is
-    a ``time.monotonic`` value checked before each other cell is computed
-    and within its product and division, or None for no limit.
+    Each step pivots on the cell ``_least_fill_pivot`` picks.  Rows and
+    columns are not moved: two position lists record the pivot swaps, so
+    positions, and with them the tie-break and the order in which cells are
+    computed, are those of a dense grid that swaps its rows and columns.
+    Any pivot order gives the exact rank.  A zero cell whose row has a zero
+    in the pivot column, or whose column has a zero in the pivot row, stays
+    zero and is skipped without a product, a division or a clock read.
+    ``deadline`` is a ``time.monotonic`` value checked before each other
+    cell is computed and within its product and division, or None for no
+    limit.
+
+    The rest of a row whose pivot-column cell is zero only gains the factor
+    piv_r / piv_(r-1) at step r, and while both pivots have one term the
+    row is left as it is: the factors telescope.  When the row is next read,
+    as the pivot row, with a nonzero pivot-column cell or at a step with a
+    longer pivot, each of its cells is multiplied once by piv_(r-1) and
+    divided by piv_(s-1) in ``_div_heap``, s being the step the row was last
+    brought up to date at (no division when s is 0).  That rescale makes no
+    term check, as a one-term factor keeps every term count, and reads the
+    clock once per cell it divides.  Nor does it change a zero pattern, so
+    the pivots, the rank and every product still made are the dense grid's.
     """
     rows = list(rows)  # position -> row; a row below the pivot is replaced each step
     nrows = len(rows)
+    since = [0] * nrows  # position -> the step whose start its row holds
+    pivots: list[dict] = []  # step -> its pivot
     col_at = list(range(ncols))  # position -> column
     pos = list(range(ncols))  # column -> position
     zero: dict[int, int] = {}
     prev: dict | None = None  # divisor for the current step; None = 1
     r = 0
+
+    def brought_up(i: int) -> dict[int, dict]:
+        """The row at position i as the dense grid holds it at step r."""
+        row, s = rows[i], since[i]
+        if s == r:
+            return row
+        (ne, nc), = prev.items()
+        den = pivots[s - 1] if s else None
+        out = {}
+        for j, poly in row.items():
+            cell = {e + ne: c * nc for e, c in poly.items()}
+            out[j] = cell if den is None else _div_heap(cell, den, guard, deadline)
+        return out
+
     while r < nrows and r < ncols:
-        col_count = Counter(chain.from_iterable(rows[r:]))
-        pi = -1  # position of the pivot row, or -1 while none is found
-        for i in range(r, nrows):
-            row = rows[i]
-            fill = len(row) - 1
-            for j, e in row.items():
-                terms = len(e)
-                if pi >= 0 and terms > best_terms:
-                    continue
-                count = fill * (col_count[j] - 1)
-                # rows come in position order, so a tie within a row goes
-                # to the lesser column position, and across rows to the first
-                if (pi < 0 or terms < best_terms or count < best_count
-                        or count == best_count and i == pi and pos[j] < pj):
-                    pi, pj, best_terms, best_count = i, pos[j], terms, count
+        pi, pj = _least_fill_pivot(rows, r, pos)
         if pi < 0:
             break
         rows[r], rows[pi] = rows[pi], rows[r]
+        since[r], since[pi] = since[pi], since[r]
         pc = col_at[pj]
         if pj != r:
             other = col_at[r]
             col_at[r], col_at[pj] = pc, other
             pos[pc], pos[other] = r, pj
-        pivot_row = rows[r]
+        pivot_row = brought_up(r)
         piv = pivot_row[pc]
+        defer = len(piv) == 1 and (prev is None or len(prev) == 1)
         others = pivot_row.keys() - {pc}
         for i in range(r + 1, nrows):
-            row = rows[i]
+            if defer and pc not in rows[i]:
+                continue  # its factor piv / prev waits for its next read
+            row = brought_up(i)
             left = row.get(pc, zero)
             if left:
                 cols = row.keys() | others
@@ -502,6 +565,8 @@ def _bareiss_rank(rows: list[dict[int, dict]], ncols: int, guard: int, max_terms
                 if cell:
                     new[j] = cell
             rows[i] = new
+            since[i] = r + 1
+        pivots.append(piv)
         prev = piv
         r += 1
     return r
@@ -521,8 +586,14 @@ def certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
     Raises ``ResourceLimitExceeded`` when an intermediate polynomial
     outgrows ``max_terms``, or when ``timeout`` seconds (None: no limit)
     have passed; the time is read before each cell, after each term of a
-    product and after each quotient term of a division.  The caller
-    decides what "too expensive" means for its verdict.
+    product, after each quotient term of a division by a longer divisor
+    and once per division by a one-term one.  A deferred rescale divides
+    each cell of its row that way, unless the row was never brought up to
+    date before (then it only multiplies, with no clock read), and makes
+    no term check, since it keeps every term count; so a diagonal of
+    one-term forms, which forms no intermediate polynomial, certifies at
+    any ``max_terms``.  The caller decides what "too expensive" means for
+    its verdict.
     """
     deadline = None if timeout is None else monotonic() + timeout
     reduced = ground_field_reduce(M)

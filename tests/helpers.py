@@ -457,13 +457,19 @@ def fraction_ground_field_reduce(M: LinearFormMatrix) -> LinearFormMatrix:
     return LinearFormMatrix(cells, s, len(col_keep))
 
 
-def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> int:
+def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int,
+                       marks: list | None = None, pivots: list | None = None) -> int:
     """Bareiss on a dense grid of packed polynomials, swapping rows and columns.
 
     The pivot is the first cell in row-major order with the fewest terms,
     ties to the least Markowitz count; a zero cell whose update is zero is
     skipped.  Products and divisions go through ``exact_linalg._cross`` and
     ``_div_heap``, looked up at each call, so a test can record them.
+    Every row is brought up to date at every step.  ``marks``, if given,
+    gets one flag per product, in call order: True for a product that the
+    sparse rows defer, one in a row whose pivot-column cell is zero at a
+    step whose pivot, and previous pivot if any, have one term.
+    ``pivots``, if given, gets the (row, column) position of each pivot.
     """
     nrows = len(grid)
     ncols = len(grid[0]) if nrows else 0
@@ -488,11 +494,14 @@ def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> in
         if best is None:
             break
         _, pi, pj = best
+        if pivots is not None:
+            pivots.append((pi, pj))
         grid[r], grid[pi] = grid[pi], grid[r]
         for row in grid:
             row[r], row[pj] = row[pj], row[r]
         pivot_row = grid[r]
         piv = pivot_row[r]
+        one_term = len(piv) == 1 and (prev is None or len(prev) == 1)
         for i in range(r + 1, nrows):
             row = grid[i]
             left = row[r]
@@ -501,6 +510,8 @@ def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> in
                 b = pivot_row[j]
                 if not a and (not left or not b):
                     continue
+                if marks is not None:
+                    marks.append(one_term and not left)
                 cell = el._cross(a, piv, left, b, max_terms)
                 if prev is not None:
                     cell = el._div_heap(cell, prev, guard)
@@ -513,7 +524,8 @@ def dense_bareiss_rank(grid: list[list[dict]], guard: int, max_terms: int) -> in
     return r
 
 
-def dense_certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT) -> int:
+def dense_certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMIT,
+                         marks: list | None = None, pivots: list | None = None) -> int:
     """Generic rank by ``dense_bareiss_rank`` on ``fraction_ground_field_reduce(M)``."""
     reduced = fraction_ground_field_reduce(M)
     if reduced.rows == 0 or reduced.cols == 0:
@@ -523,7 +535,7 @@ def dense_certified_rank(M: LinearFormMatrix, max_terms: int = DEFAULT_TERM_LIMI
     bit = {k: 1 << ((len(used) - 1 - t) * width) for t, k in enumerate(used)}
     grid = [[{bit[k]: c for k, c in row.get(j, {}).items()} for j in range(reduced.cols)]
             for row in reduced.cells]
-    return dense_bareiss_rank(grid, guard, max_terms)
+    return dense_bareiss_rank(grid, guard, max_terms, marks, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,9 @@ class TestCertifiedRank:
 
     def test_against_sympy_on_larger_random_matrices(self, monkeypatch):
         # 5x5 to 7x7 in 2-3 indeterminates, so that cells, and the pivots
-        # divided by, carry several terms; an odd skew-symmetric matrix has
-        # a rank drop that no Q-reduction of its rows or columns finds
+        # divided by, carry several terms, and some pivots one; an odd
+        # skew-symmetric matrix has a rank drop that no Q-reduction of its
+        # rows or columns finds
         import thetagib.exact_linalg as el
 
         divisor_terms = []
@@ -425,12 +426,11 @@ class TestCertifiedRank:
         for m in cases:
             assert certified_rank(m) == sympy_field_rank(m)
         assert cases[-1].rows == 7 and certified_rank(cases[-1]) <= 6
-        assert max(divisor_terms) > 1
+        assert max(divisor_terms) > 1 and min(divisor_terms) == 1
 
-    def test_zero_cells_that_stay_zero_are_skipped(self, monkeypatch):
-        # a1*I_6: below each pivot only the diagonal cells are nonzero, and
-        # every off-diagonal cell is zero in a row whose pivot-column cell
-        # is zero, so 5 + 4 + 3 + 2 + 1 = 15 products instead of 55
+    @staticmethod
+    def _diagonal_products(monkeypatch, form: dict) -> int:
+        """Products made while certifying ``form`` * I_6, of rank 6."""
         import thetagib.exact_linalg as el
 
         calls = []
@@ -441,9 +441,22 @@ class TestCertifiedRank:
 
         monkeypatch.setattr(el, "_cross", counting_cross)
         n = 6
-        grid = [[lf(a1=1) if i == j else {} for j in range(n)] for i in range(n)]
-        assert certified_rank(matrix_of(grid, 1)) == n
-        assert len(calls) == 15
+        grid = [[form if i == j else {} for j in range(n)] for i in range(n)]
+        assert certified_rank(matrix_of(grid, 2)) == n
+        return len(calls)
+
+    def test_zero_cells_that_stay_zero_are_skipped(self, monkeypatch):
+        # a1*I_6: below each pivot only the diagonal cells are nonzero, and
+        # every off-diagonal cell is zero in a row whose pivot-column cell
+        # is zero, so the dense grid makes 5 + 4 + 3 + 2 + 1 = 15 products
+        # instead of 55; with one-term pivots each of those 15 only rescales
+        # its row, and that rescale waits for a read that never comes
+        assert self._diagonal_products(monkeypatch, lf(a1=1)) == 0
+
+    def test_zero_cells_that_stay_zero_are_skipped_under_two_term_pivots(self, monkeypatch):
+        # (a1 + a2)*I_6: the pivots have two terms, so the 15 products that
+        # rescale the rows below each pivot are made
+        assert self._diagonal_products(monkeypatch, lf(a1=1, a2=1)) == 15
 
     def test_pivot_ties_go_to_the_least_fill(self, monkeypatch):
         # two one-term cells: a1 at (0, 0), first in row-major order, in
@@ -491,11 +504,66 @@ class TestCertifiedRank:
             drops += rank < min(rows, cols)
         assert drops
 
+    def test_against_sympy_when_a_longer_pivot_interrupts_the_deferral(self, monkeypatch):
+        # a sparse one-term block A in one indeterminate beside a planted
+        # 5x5 block B of two-term forms in a1, a2, their rows and columns
+        # interleaved.  A's one-term pivots come first and defer B's rows;
+        # B's first pivot u = a1 + a2 has two terms, so the deferral stops
+        # and those rows are brought up to date.  With v = a1 - a2, u*u -
+        # v*v = 4*a1*a2, and u*x - v*v is -4*a2**2 or -4*a1**2 for x = a1 -
+        # 3*a2 or -3*a1 + a2, so B's next pivots have one term and the
+        # deferral resumes; scaling B's rows and columns keeps that
+        import thetagib.exact_linalg as el
+
+        calls = []
+
+        def recorded(a, piv, left, b, cap, *rest):
+            calls.append((a, piv, left, b))
+            return _cross(a, piv, left, b, cap, *rest)
+
+        monkeypatch.setattr(el, "_cross", recorded)
+        u, v = lf(a1=1, a2=1), lf(a1=1, a2=-1)
+        inner = [u, lf(a1=1, a2=-3), lf(a1=-3, a2=1)]
+        rng = random.Random(31)
+        resumed = drops = 0
+        for _ in range(12):
+            ra, ca, k = rng.randint(2, 5), rng.randint(2, 5), rng.randrange(3)
+            a_block = [[{} if rng.random() < 0.4 else {k: rng.choice((-2, -1, 1, 2))}
+                        for _ in range(ca)] for _ in range(ra)]
+            b_block = [[v if (i == 0) != (j == 0) else u if i + j == 0 or 1 in (i, j)
+                        else rng.choice(inner) for j in range(5)] for i in range(5)]
+            rs, cs = ([rng.choice((-2, -1, 1, 2)) for _ in range(5)] for _ in range(2))
+            b_block = [[{x: c * rs[i] * cs[j] for x, c in form.items()}
+                        for j, form in enumerate(row)] for i, row in enumerate(b_block)]
+            b_rows = sorted(rng.sample(range(ra + 5), 5))
+            b_cols = sorted(rng.sample(range(ca + 5), 5))
+            a_rows = [i for i in range(ra + 5) if i not in b_rows]
+            a_cols = [j for j in range(ca + 5) if j not in b_cols]
+            grid = [[{} for _ in range(ca + 5)] for _ in range(ra + 5)]
+            for block, rows, cols in ((a_block, a_rows, a_cols), (b_block, b_rows, b_cols)):
+                for i, row in zip(rows, block):
+                    for j, form in zip(cols, row):
+                        grid[i][j] = form
+            m = matrix_of(grid, 3)
+            calls.clear()
+            rank = certified_rank(m)
+            sparse_calls = list(calls)
+            calls.clear()
+            marks = []
+            assert dense_certified_rank(m, marks=marks) == rank == sympy_field_rank(m)
+            assert sparse_calls == [c for c, d in zip(calls, marks, strict=True) if not d]
+            # a deferred product before and after one at a longer pivot
+            resumed += any(True in marks[:t] and True in marks[t:]
+                           for t, c in enumerate(calls) if len(c[1]) > 1)
+            drops += rank < min(m.rows, m.cols)
+        assert resumed >= 6 and drops
+
     def test_sparse_rows_make_the_dense_calls_on_tied_matrices(self, monkeypatch):
         # dense one-term cells tie on terms and often on fill, and each row's
         # cells are stored in shuffled column order, so the pivot and the
         # order of the products follow from positions alone; the dense
-        # grid with physical swaps is the oracle
+        # grid with physical swaps is the oracle, less the products that
+        # the sparse rows defer while the pivots have one term
         import thetagib.exact_linalg as el
 
         calls = []
@@ -506,6 +574,7 @@ class TestCertifiedRank:
 
         monkeypatch.setattr(el, "_cross", recorded)
         rng = random.Random(12)
+        deferred = kept_zero_left = 0
         for _ in range(40):
             rows, cols, s = rng.randint(3, 7), rng.randint(3, 7), rng.randint(1, 3)
             cells = []
@@ -519,8 +588,12 @@ class TestCertifiedRank:
             sparse = certified_rank(m)
             sparse_calls = list(calls)
             calls.clear()
-            assert dense_certified_rank(m) == sparse
-            assert sparse_calls == calls
+            marks = []
+            assert dense_certified_rank(m, marks=marks) == sparse
+            assert sparse_calls == [c for c, d in zip(calls, marks, strict=True) if not d]
+            deferred += sum(marks)
+            kept_zero_left += sum(not c[2] and not d for c, d in zip(calls, marks))
+        assert deferred and kept_zero_left
 
     def test_full_rank_at_the_field_width_bound(self):
         # a1*I_12 with a1 added off the diagonal of the first row: with one
@@ -740,6 +813,50 @@ class TestPackedPolynomials:
             if not a or not b:
                 continue
             assert _div_heap(_cross(a, b, {}, {}, 10**6), b, guard) == a
+
+    def test_one_term_division_gives_the_heap_result(self):
+        # num / (c*x^d) in one pass against (num*h) / (c*x^d*h) through the
+        # heap, h of two to four terms, and against the factor it came from
+        rng = random.Random(29)
+        for _ in range(60):
+            s = rng.randint(1, 3)
+            width, guard = _packing(s, 8)
+
+            def rand_poly(terms):
+                exps = rng.sample(range(3 ** s), min(terms, 3 ** s))
+                return packed({tuple(x // 3 ** k % 3 for k in range(s)):
+                               rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) for x in exps},
+                              s, width)
+
+            a, d, h = rand_poly(rng.randint(1, 6)), rand_poly(1), rand_poly(rng.randint(2, 4))
+            num = _cross(a, d, {}, {}, 10**6)
+            dh = _cross(d, h, {}, {}, 10**6)
+            assert len(dh) > 1
+            got = _div_heap(num, d, guard)
+            assert got == a == _div_heap(_cross(num, h, {}, {}, 10**6), dh, guard)
+            assert list(got) == [e - next(iter(d)) for e in num]  # in num's order
+
+    @pytest.mark.parametrize("num, den", [
+        ({(2, 1): 6, (1, 2): 3}, {(1, 0): 2}),  # (6*a1^2*a2 + 3*a1*a2^2) / (2*a1)
+        ({(1, 1): 2, (2, 0): 2}, {(0, 1): 2}),  # (2*a1*a2 + 2*a1^2) / (2*a2)
+        ({(1, 1): 4, (0, 2): 4}, {(1, 0): 1}),  # (4*a1*a2 + 4*a2^2) / a1
+    ], ids=["coefficient", "lower-field-borrow", "upper-field-borrow"])
+    def test_one_term_division_checks_every_term(self, num, den):
+        # the first term divides and a later one does not: by a coefficient
+        # remainder, or by a field where the divisor's exponent is the
+        # larger, whose guard bit the subtraction borrows
+        width, guard = _packing(2, 4)
+        with pytest.raises(ArithmeticError, match="inexact"):
+            _div_heap(packed(num, 2, width), packed(den, 2, width), guard)
+
+    def test_one_term_division_reads_a_passed_deadline(self):
+        width, guard = _packing(2, 4)
+        d = packed({(1, 0): 3}, 2, width)
+        num = packed({(2, 0): 6, (1, 1): -3}, 2, width)
+        with pytest.raises(ResourceLimitExceeded, match="time limit"):
+            _div_heap(num, d, guard, time.monotonic() - 1)
+        assert _div_heap(num, d, guard, time.monotonic() + 3600) == \
+            packed({(1, 0): 2, (0, 1): -1}, 2, width)
 
     def test_product_and_division_read_a_passed_deadline(self):
         width, guard = _packing(2, 4)

@@ -82,9 +82,10 @@ class TestCheckOrbit:
 
     @pytest.mark.parametrize("r, orbit, decided_by, gib", [
         ((3, 3, 3), None, DECIDED_BY_BOUND_MATCH, True),
-        # a reduced shape whose first base point has F_p rank 2, below the
-        # generic rank 3, so its reduced 3x5 slice is not pinned
-        ((2, 2, 2, 2, 1), "4^3 3^1 1^0 1^2", DECIDED_BY_REDUCED_SHAPE, False),
+        # a reduced shape whose first base point has F_p rank 5, below the
+        # generic rank 6, so its reduced 6x9 slice is not pinned, and whose
+        # elimination needs a product
+        ((4, 4, 3), "4^0 4^0 2^1 1^1", DECIDED_BY_REDUCED_SHAPE, False),
     ])
     def test_blown_forced_certification_keeps_the_cheaper_proof(
             self, monkeypatch, r, orbit, decided_by, gib):

@@ -46,11 +46,12 @@ from thetagib.index_engine import (
     SLICE_FIRST_TERMS,
     SLICE_POINT_RANGE,
     UNDECIDED,
+    cheap_proof,
     prove_indices,
     slice_rank,
     transversal_slice,
 )
-from thetagib.orbits import all_nilpotent_orbits, zero_orbit
+from thetagib.orbits import all_nilpotent_orbits, dihedral_classes, zero_orbit
 
 
 def _late_defects():
@@ -371,8 +372,9 @@ class TestCertificationOracles:
 
     def test_sparse_bareiss_makes_the_dense_calls(self, monkeypatch):
         # on the certify slices at the first three base points, under the
-        # term budgets slice_rank gives them, the sparse rows see the same
-        # products, in the same order, as the dense grid, and end the same
+        # term budgets slice_rank gives them, the sparse rows see the
+        # products of the dense grid, in the same order, less those that
+        # only rescale a row while the pivots have one term, and end the same
         calls = []
 
         def recorded(a, piv, left, b, cap, *rest):
@@ -382,24 +384,60 @@ class TestCertificationOracles:
         cross = el._cross
         monkeypatch.setattr(el, "_cross", recorded)
 
-        def run(rank, matrix, budget):
+        def run(rank, matrix, budget, *marks):
             calls.clear()
             try:
-                outcome = rank(matrix, budget)
+                outcome = rank(matrix, budget, *marks)
             except ResourceLimitExceeded:
                 outcome = None
             return outcome, list(calls)
 
         ranks = []
+        deferred = kept_zero_left = 0
         for label, m, _, point in _slice_cases("certify", None):
             sliced = transversal_slice(m, point)
             budget = SLICE_FIRST_TERMS << label[1]
+            marks = []
             sparse = run(certified_rank, sliced, budget)
-            dense = run(dense_certified_rank, sliced, budget)
+            dense = run(dense_certified_rank, sliced, budget, marks)
             assert sparse[0] == dense[0], label
-            assert sparse[1] == dense[1], label
+            assert sparse[1] == [c for c, d in zip(dense[1], marks, strict=True) if not d], label
             ranks.append(sparse[0])
+            deferred += sum(marks)
+            kept_zero_left += sum(not c[2] and not d for c, d in zip(dense[1], marks))
         assert ranks.count(None) < len(ranks)
+        # some products are deferred, and some zero-left ones are not,
+        # because a pivot there has two or more terms
+        assert deferred and kept_zero_left
+
+    def test_certify_queue_pivots_as_the_dense_grid(self, monkeypatch):
+        # every class of (4,4,5) that the cheap pass leaves to certification,
+        # sliced at the first base point slice_rank draws: the sparse rows,
+        # deferring rescales, pick the dense grid's pivots and reach its rank
+        seen = []
+
+        def recorded(rows, r, pos):
+            seen.append(pick(rows, r, pos))
+            return seen[-1]
+
+        pick = el._least_fill_pivot
+        monkeypatch.setattr(el, "_least_fill_pivot", recorded)
+        rep = ThetaRep.of(4, 4, 5)
+        queued = 0
+        for orbit, _ in dihedral_classes(rep):
+            m = build_action_matrix(build_centralizer(orbit, rep.m))
+            if cheap_proof(m, rep.rank())[0].decided_by != UNDECIDED:
+                continue
+            queued += 1
+            draw = random.Random(0)
+            point = [draw.randint(-SLICE_POINT_RANGE, SLICE_POINT_RANGE)
+                     for _ in range(m.cols)]
+            sliced = transversal_slice(m, point)
+            seen.clear()
+            pivots = []
+            assert certified_rank(sliced) == dense_certified_rank(sliced, pivots=pivots), orbit
+            assert [p for p in seen if p != (-1, -1)] == pivots, orbit
+        assert queued == 50
 
     def test_pinned_slice_certifies_without_bareiss(self, monkeypatch):
         # the first slice of 4^2 2^1 2^2 1^0 1^0 1^1 1^1 1^2 reduces to
@@ -539,8 +577,11 @@ class TestGenericDocuments:
         assert res.index == 0 == declared
 
     def test_blown_certification_keeps_the_shape_proof(self):
+        # [[a1, a2, 0], [a2, a1, 0], [0, 0, -3*a3]]: after the pivot -3*a3,
+        # the 2x2 block needs a product, which a budget of 0 terms refuses
         doc = {"dim_q": 3, "dim_v": 3,
-               "brackets": [[0, 0, 0, 1, 1], [1, 1, 1, 2, 1], [2, 2, 2, -3, 1]]}
+               "brackets": [[0, 0, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 1, 1],
+                            [1, 1, 0, 1, 1], [2, 2, 2, -3, 1]]}
         mat, _, _ = parse_action_document(doc)
         res = index_of_matrix(mat, force_certify=True, max_terms=0)
         assert res.decided_by == DECIDED_BY_REDUCED_SHAPE
